@@ -6,6 +6,10 @@
 //! a regression that re-introduces an O(window) scan or per-cycle heap
 //! churn shows up here before it shows up in the sweep wall-clock.
 //!
+//! `LEN` is a floor, not a size: a kernel trace runs whole outer
+//! iterations, so at `LEN` = 20,000 crc yields 22,550 ops and CONV
+//! 481,320. Every row divides by the length of the trace it simulates.
+//!
 //! Run with `cargo bench -p redsoc-bench --bench issue_loop`. The
 //! committed sweep-level baseline lives in `BENCH_sweep.json` at the
 //! repo root and is gated by `redsoc perfgate` (see DESIGN.md).
@@ -37,9 +41,10 @@ fn bench_schedulers() {
         .expect("run")
         .cycles
     };
-    bench("crc_baseline", LEN, || run(SchedulerConfig::baseline()));
-    bench("crc_redsoc", LEN, || run(redsoc_for(CHAINY.class())));
-    bench("crc_mos", LEN, || run(SchedulerConfig::mos()));
+    let ops = trace.len() as u64;
+    bench("crc_baseline", ops, || run(SchedulerConfig::baseline()));
+    bench("crc_redsoc", ops, || run(redsoc_for(CHAINY.class())));
+    bench("crc_mos", ops, || run(SchedulerConfig::mos()));
 }
 
 fn bench_window_pressure() {
@@ -49,7 +54,7 @@ fn bench_window_pressure() {
     // slowest cell before the event-driven rewrite), so it bounds the
     // worst-case per-cycle cost of wakeup + select.
     let trace = cache.get(Benchmark::Conv);
-    bench("conv_mos_big", LEN, || {
+    bench("conv_mos_big", trace.len() as u64, || {
         simulate(
             black_box(trace.iter().copied()),
             CoreConfig::big().with_sched(SchedulerConfig::mos()),

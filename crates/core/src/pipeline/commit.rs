@@ -25,8 +25,7 @@ use super::state::PipelineState;
 impl PipelineState {
     pub(crate) fn commit<S: EventSink>(&mut self, sched: &dyn Scheduler, sink: &mut S) {
         for _ in 0..self.config.frontend_width {
-            let head_idx = (self.committed_total - self.base_seq) as usize;
-            let Some(head) = self.ifos.get(head_idx) else {
+            let Some(head) = self.ifo(self.committed_total) else {
                 break;
             };
             if !head.issued || self.cycle < head.done_cycle {
@@ -57,7 +56,7 @@ impl PipelineState {
             if op.instr.is_mem() {
                 self.lsq_used -= 1;
             }
-            self.ifos[head_idx].committed = true;
+            self.ifo_mut(op.seq).expect("head in window").committed = true;
             self.committed_total += 1;
             if S::ENABLED {
                 sink.record(
@@ -77,29 +76,31 @@ impl PipelineState {
             }
         }
         // Retire old entries lazily, keeping a window behind the head so
-        // chain statistics and RAT references stay resolvable.
+        // chain statistics and RAT references stay resolvable. The lag is
+        // behaviour, not bookkeeping: rename reads a retired parent's
+        // `pred_last` for `gp_tag`, and loads forward from committed
+        // stores still in the window (DESIGN.md §8).
         let lag = u64::from(self.config.rob_entries) + 64;
-        while self.base_seq + lag < self.committed_total {
-            let gone = self.ifos.pop_front().expect("window non-empty");
+        while self.window.base() + lag < self.committed_total {
+            let gone = self.window.pop_front().expect("window non-empty");
             debug_assert!(gone.committed);
             if gone.chain_len >= 2 && !gone.chain_extended {
                 self.report.chains.record(gone.chain_len);
             }
-            self.base_seq += 1;
         }
         // Keep the store index in step with the window slide.
-        while self.store_seqs.front().is_some_and(|&s| s < self.base_seq) {
+        let base = self.window.base();
+        while self.store_seqs.front().is_some_and(|&s| s < base) {
             self.store_seqs.pop_front();
         }
     }
 
     /// Flush remaining chain records at end of simulation.
     pub(crate) fn drain_chain_stats(&mut self) {
-        while let Some(gone) = self.ifos.pop_front() {
+        while let Some(gone) = self.window.pop_front() {
             if gone.chain_len >= 2 && !gone.chain_extended {
                 self.report.chains.record(gone.chain_len);
             }
-            self.base_seq += 1;
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::sched::Scheduler;
 use crate::stats::StallCause;
 use crate::tag_pred::LastArrival;
 
-use super::state::{Fetched, Ifo, PipelineState};
+use super::state::{Fetched, Ifo, PipelineState, SrcTags};
 
 impl PipelineState {
     pub(crate) fn fetch<S: EventSink>(
@@ -173,13 +173,11 @@ impl PipelineState {
         }
 
         // Resolve sources through the RAT (deduplicated, program order).
-        let mut srcs: Vec<u64> = Vec::with_capacity(4);
-        let mut src_positions: Vec<usize> = Vec::new();
-        for (pos, reg) in op.instr.srcs().iter().enumerate() {
+        let mut srcs = SrcTags::default();
+        for reg in op.instr.srcs().iter() {
             if let Some(tag) = self.rat[reg.index()] {
                 if !srcs.contains(&tag) {
                     srcs.push(tag);
-                    src_positions.push(pos);
                 }
             }
         }
@@ -203,15 +201,17 @@ impl PipelineState {
         };
 
         // Operational-design last-arrival prediction (§IV-C): among sources
-        // whose producers are still waiting to issue.
-        let unissued: Vec<(usize, u64)> = srcs
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| self.ifo(t).is_some_and(|p| !p.issued))
-            .map(|(i, &t)| (i, t))
-            .collect();
+        // whose producers are still waiting to issue, as (position, tag).
+        let mut unissued = [(0usize, 0u64); SrcTags::CAPACITY];
+        let mut n_unissued = 0;
+        for (i, &t) in srcs.iter().enumerate() {
+            if self.ifo(t).is_some_and(|p| !p.issued) {
+                unissued[n_unissued] = (i, t);
+                n_unissued += 1;
+            }
+        }
         let use_prediction = sched.uses_tag_prediction(recyclable);
-        let (pred_last, pred_pos) = match unissued.as_slice() {
+        let (pred_last, pred_pos) = match &unissued[..n_unissued] {
             [] => {
                 // Everything issued: the operand with the latest broadcast
                 // is trivially "last"; no prediction consumed.
@@ -277,6 +277,7 @@ impl PipelineState {
             committed: false,
             l1_miss: false,
             mem_rejected: false,
+            // Takes over the warmed list of the slot it lands in.
             waiters: Vec::new(),
             in_ready: false,
         };
@@ -289,7 +290,7 @@ impl PipelineState {
             self.rat[ArchReg::flags().index()] = Some(seq);
         }
 
-        self.ifos.push_back(ifo);
+        self.window.push(ifo);
         self.next_seq += 1;
         self.dispatched_total += 1;
         self.rse_used += 1;

@@ -111,7 +111,7 @@ impl PipelineState {
     fn select_and_issue_scan<S: EventSink>(&mut self, sched: &dyn Scheduler, sink: &mut S) -> bool {
         let mut requests = core::mem::take(&mut self.wakeup.requests);
         debug_assert!(requests.iter().all(Vec::is_empty));
-        for x in &self.ifos {
+        for x in self.window.iter() {
             if x.committed || x.issued || x.earliest_req > self.cycle {
                 continue;
             }

@@ -563,8 +563,7 @@ impl PipelineState {
         if committed_delta > 0 {
             return StallCause::Busy;
         }
-        let head_idx = (self.committed_total - self.base_seq) as usize;
-        match self.ifos.get(head_idx) {
+        match self.ifo(self.committed_total) {
             Some(head) if head.issued => {
                 if matches!(head.class, ExecClass::Load | ExecClass::Store) {
                     StallCause::Memory

@@ -14,7 +14,7 @@ use redsoc_timing::width_predictor::{WidthPredState, WidthPredictorStats};
 
 use crate::branch::{BranchStats, GshareState};
 use crate::fu::PoolKind;
-use crate::pipeline::state::{Fetched, Ifo, PipelineState};
+use crate::pipeline::state::{Fetched, Ifo, PipelineState, SrcTags, Window};
 use crate::pipeline::wakeup::WakeupSnapshot;
 use crate::sched::Scheduler;
 use crate::stats::{ChainStats, OpCategory, OpMix, SimReport, StallCause};
@@ -105,7 +105,7 @@ pub(crate) fn decode_into(
 
     // Section: core counters.
     state.cycle = r.u64()?;
-    state.base_seq = r.u64()?;
+    let base_seq = r.u64()?;
     state.next_seq = r.u64()?;
     state.committed_total = r.u64()?;
     state.dispatched_total = r.u64()?;
@@ -115,6 +115,12 @@ pub(crate) fn decode_into(
         return Err(corrupt(format!(
             "next_seq {} != dispatched_total {}",
             state.next_seq, state.dispatched_total
+        )));
+    }
+    if !(base_seq <= state.committed_total && state.committed_total <= state.dispatched_total) {
+        return Err(corrupt(format!(
+            "window base {base_seq}, committed {} and dispatched {} are out of order",
+            state.committed_total, state.dispatched_total
         )));
     }
 
@@ -172,14 +178,26 @@ pub(crate) fn decode_into(
         pool.import_state(&free_at).map_err(corrupt)?;
     }
 
-    // Section: the in-flight window.
+    // Section: the in-flight window. It must fit the ring bound and
+    // cover exactly the seqs [base_seq, dispatched_total).
     let window = r.len()?;
-    let mut ifos = VecDeque::with_capacity(window);
-    for i in 0..window {
-        let op = op_at(trace, state.base_seq + i as u64)?;
-        ifos.push_back(decode_ifo(&mut r, op)?);
+    let bound = Window::bound(&state.config);
+    if window > bound {
+        return Err(corrupt(format!(
+            "window of {window} entries exceeds the ring bound {bound}"
+        )));
     }
-    state.ifos = ifos;
+    if window as u64 != state.dispatched_total - base_seq {
+        return Err(corrupt(format!(
+            "window of {window} entries does not span seqs {base_seq}..{}",
+            state.dispatched_total
+        )));
+    }
+    state.window.reset(base_seq);
+    for seq in base_seq..state.dispatched_total {
+        let op = op_at(trace, seq)?;
+        state.window.push(decode_ifo(&mut r, op)?);
+    }
 
     // Section: event-driven wakeup structures.
     let mut ready: [Vec<u64>; 4] = Default::default();
@@ -292,7 +310,17 @@ fn decode_ifo(r: &mut SnapReader<'_>, op: DynOp) -> Result<Ifo, SnapshotError> {
     let class = exec_class_from(r.u8()?)?;
     let recyclable = r.bool()?;
     let pool = pool_from(r.u8()?)?;
-    let srcs = r.u64_vec()?;
+    let n_srcs = r.len()?;
+    if n_srcs > SrcTags::CAPACITY {
+        return Err(corrupt(format!(
+            "entry has {n_srcs} source tags; an instruction reads at most {}",
+            SrcTags::CAPACITY
+        )));
+    }
+    let mut srcs = SrcTags::default();
+    for _ in 0..n_srcs {
+        srcs.push(r.u64()?);
+    }
     let pred_last = r.opt_u64()?;
     let gp_tag = r.opt_u64()?;
     let pred_pos = match r.u8()? {
@@ -434,4 +462,106 @@ fn set_stall(report: &mut SimReport, cause: StallCause, n: u64) {
         StallCause::Mshr => &mut report.stalls.mshr,
     };
     *slot = n;
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use redsoc_isa::prelude::*;
+
+    use crate::config::{CoreConfig, SchedulerConfig};
+    use crate::events::NullSink;
+    use crate::pipeline::snapshot::{fnv1a, SnapshotError};
+    use crate::pipeline::state::{SrcTags, Window};
+    use crate::pipeline::Simulator;
+
+    fn config() -> CoreConfig {
+        CoreConfig::small().with_sched(SchedulerConfig::baseline())
+    }
+
+    /// `n` independent single-cycle ops.
+    fn trace(n: u64) -> Vec<DynOp> {
+        (0..n)
+            .map(|s| {
+                let instr = Instr::Alu {
+                    op: AluOp::Add,
+                    dst: Some(r(1)),
+                    src1: Some(r(2)),
+                    op2: Operand2::Imm(1),
+                    set_flags: false,
+                };
+                DynOp::simple(s, (s % 64) as u32 * 4, instr)
+            })
+            .collect()
+    }
+
+    /// A simulator with every op of `ops` dispatched straight into its
+    /// window (white-box: `allocate` applies no ROB limit).
+    fn dispatched(ops: &[DynOp]) -> Simulator {
+        let mut sim = Simulator::new(config()).expect("valid config");
+        for &op in ops {
+            sim.state.allocate(&*sim.sched, op, &mut NullSink);
+        }
+        sim
+    }
+
+    /// Replace the one occurrence of `from` in `blob`'s payload with `to`
+    /// and re-seal the digest, so decode gets past the integrity check.
+    fn patched(blob: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let payload = &blob[..blob.len() - 8];
+        let hits: Vec<usize> = payload
+            .windows(from.len())
+            .enumerate()
+            .filter(|(_, w)| *w == from)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(hits.len(), 1, "pattern must occur exactly once");
+        let at = hits[0];
+        let mut out = [&payload[..at], to, &payload[at + from.len()..]].concat();
+        let digest = fnv1a(&out);
+        out.extend_from_slice(&digest.to_le_bytes());
+        out
+    }
+
+    fn expect_corrupt(result: Result<(Simulator, u64), SnapshotError>, what: &str) {
+        match result {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("expected Corrupt({what}), got {e:?}"),
+            Ok(_) => panic!("expected Corrupt({what}), the restore succeeded"),
+        }
+    }
+
+    #[test]
+    fn window_longer_than_the_ring_bound_is_corrupt() {
+        let bound = Window::bound(&config());
+        let ops = trace(bound as u64 + 1);
+        let at_bound = dispatched(&ops[..bound]).snapshot();
+        assert!(Simulator::restore(config(), &at_bound, &ops).is_ok());
+        let over = dispatched(&ops).snapshot();
+        expect_corrupt(Simulator::restore(config(), &over, &ops), "ring bound");
+    }
+
+    #[test]
+    fn more_than_four_source_tags_is_corrupt() {
+        let ops = trace(4);
+        let mut sim = dispatched(&ops);
+        let tags: Vec<u64> = (1..=5).map(|i| 0x5EED_0000_0000_0000 | i).collect();
+        let mut srcs = SrcTags::default();
+        for &t in &tags[..SrcTags::CAPACITY] {
+            srcs.push(t);
+        }
+        sim.state.ifo_mut(3).expect("in window").srcs = srcs;
+        let blob = sim.snapshot();
+        assert!(Simulator::restore(config(), &blob, &ops).is_ok());
+        // The wire form of a tag list: a u32 count, then the tags.
+        let wire = |tags: &[u64]| -> Vec<u8> {
+            let mut b = (tags.len() as u32).to_le_bytes().to_vec();
+            for t in tags {
+                b.extend_from_slice(&t.to_le_bytes());
+            }
+            b
+        };
+        let five = patched(&blob, &wire(&tags[..4]), &wire(&tags));
+        expect_corrupt(Simulator::restore(config(), &five, &ops), "source tags");
+    }
 }

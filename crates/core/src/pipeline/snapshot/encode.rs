@@ -61,7 +61,7 @@ pub(crate) fn encode(state: &PipelineState, sched: &dyn Scheduler) -> Vec<u8> {
 
     // Section: core counters.
     w.u64(state.cycle);
-    w.u64(state.base_seq);
+    w.u64(state.window.base());
     w.u64(state.next_seq);
     w.u64(state.committed_total);
     w.u64(state.dispatched_total);
@@ -104,8 +104,8 @@ pub(crate) fn encode(state: &PipelineState, sched: &dyn Scheduler) -> Vec<u8> {
     w.u64_slice(state.mem_ports.export_state());
 
     // Section: the in-flight window.
-    w.len(state.ifos.len());
-    for ifo in &state.ifos {
+    w.len(state.window.len());
+    for ifo in state.window.iter() {
         encode_ifo(&mut w, ifo);
     }
 

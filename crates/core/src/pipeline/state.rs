@@ -9,6 +9,9 @@
 //! borrows exactly this one struct and the borrow checker arbitrates.
 
 use std::collections::VecDeque;
+use std::fmt;
+use std::mem;
+use std::ops::Deref;
 
 use redsoc_isa::opcode::ExecClass;
 use redsoc_isa::reg::{ArchReg, NUM_ARCH_REGS};
@@ -42,8 +45,9 @@ pub struct Ifo {
     pub recyclable: bool,
     /// Functional-unit pool this op issues to.
     pub pool: PoolKind,
-    /// Producer tags of all register sources (deduplicated).
-    pub srcs: Vec<u64>,
+    /// Producer tags of all register sources (deduplicated, program
+    /// order), stored inline.
+    pub srcs: SrcTags,
     /// Predicted-last-arriving source tag (operational RSE design).
     pub pred_last: Option<u64>,
     /// Predicted grandparent tag (the parent's own predicted-last parent).
@@ -93,11 +97,188 @@ pub struct Ifo {
     pub mem_rejected: bool,
     /// Event-driven wakeup: sequence tags of dispatched consumers waiting
     /// on this entry's issue broadcast (drained exactly once at issue; see
-    /// [`crate::pipeline::wakeup`]).
+    /// [`crate::pipeline::wakeup`]). The list's capacity outlives the
+    /// entry: the next entry to reuse this window slot inherits it.
     pub(crate) waiters: Vec<u64>,
     /// Whether this entry currently sits in its pool's ready set (the
     /// membership mirror preventing double insertion).
     pub(crate) in_ready: bool,
+}
+
+/// The producer tags an entry's register sources resolved to at rename:
+/// deduplicated, in program order, stored inline.
+///
+/// An instruction reads at most four registers (the invariant of
+/// [`SrcSet`](redsoc_isa::reg::SrcSet)), so four inline tags always
+/// suffice and dispatching an entry never touches the heap. The list
+/// derefs to `&[u64]`, so reads look like reads of a slice:
+/// `x.srcs.iter()`, `x.srcs.contains(&t)`, `x.srcs.get(i)`,
+/// `x.srcs.len()`, `for &t in &x.srcs`.
+#[derive(Clone, Copy, Default)]
+pub struct SrcTags {
+    tags: [u64; SrcTags::CAPACITY],
+    len: u8,
+}
+
+impl SrcTags {
+    /// The most tags one entry holds: an instruction's register reads.
+    pub const CAPACITY: usize = 4;
+
+    /// Append `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list already holds [`SrcTags::CAPACITY`] tags.
+    pub(crate) fn push(&mut self, tag: u64) {
+        self.tags[usize::from(self.len)] = tag;
+        self.len += 1;
+    }
+}
+
+impl Deref for SrcTags {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.tags[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a SrcTags {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for SrcTags {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The in-flight window: a power-of-two ring of reusable [`Ifo`] slots,
+/// indexed by `seq & mask`.
+///
+/// It holds every entry from `base` (the oldest seq still resolvable)
+/// to the youngest dispatched one. Retiring the oldest entry only
+/// advances `base`: the slot keeps its `Ifo`, and the entry that later
+/// lands in it inherits the retired entry's `waiters` capacity, so a
+/// warmed-up run dispatches and retires without touching the heap. The
+/// ring starts empty, which keeps building a simulator cheap, and
+/// doubles on demand; a run never holds more than
+/// [`Window::bound`] entries, so growth stops at that bound's next power
+/// of two.
+#[derive(Debug, Default)]
+pub(crate) struct Window {
+    slots: Vec<Option<Ifo>>,
+    base: u64,
+    len: usize,
+}
+
+impl Window {
+    /// Ring size of the first allocation.
+    const MIN_SLOTS: usize = 16;
+
+    /// The most entries a window on `config` ever holds: one full ROB in
+    /// flight, plus the `rob_entries + 64` retired entries that commit
+    /// keeps resolvable (see DESIGN.md §8 for why that lag matters).
+    pub(crate) fn bound(config: &CoreConfig) -> usize {
+        2 * config.rob_entries as usize + 64
+    }
+
+    /// The oldest seq still in the window.
+    pub(crate) fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of entries, in flight and retired-but-resolvable.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Restart an empty window at `base` (snapshot restore).
+    pub(crate) fn reset(&mut self, base: u64) {
+        debug_assert_eq!(self.len, 0, "reset of a non-empty window");
+        self.base = base;
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        // The ring size is a power of two; truncating `seq` keeps the
+        // low bits the mask selects.
+        seq as usize & (self.slots.len() - 1)
+    }
+
+    /// The entry for `seq`, if it is in the window.
+    pub(crate) fn get(&self, seq: u64) -> Option<&Ifo> {
+        if seq.wrapping_sub(self.base) < self.len as u64 {
+            self.slots[self.slot(seq)].as_ref()
+        } else {
+            None
+        }
+    }
+
+    pub(crate) fn get_mut(&mut self, seq: u64) -> Option<&mut Ifo> {
+        if seq.wrapping_sub(self.base) < self.len as u64 {
+            let i = self.slot(seq);
+            self.slots[i].as_mut()
+        } else {
+            None
+        }
+    }
+
+    /// Append `ifo` as seq `base + len`. An entry with an empty waiter
+    /// list takes over the list (cleared, capacity kept) of the retired
+    /// entry whose slot it reuses; one that arrives with live waiters —
+    /// a restored snapshot's — keeps its own.
+    pub(crate) fn push(&mut self, mut ifo: Ifo) {
+        let seq = self.base + self.len as u64;
+        debug_assert_eq!(ifo.op.seq, seq, "window entries are contiguous");
+        if self.len == self.slots.len() {
+            self.grow();
+        }
+        let i = self.slot(seq);
+        let slot = &mut self.slots[i];
+        if let Some(retired) = slot {
+            if ifo.waiters.is_empty() {
+                mem::swap(&mut ifo.waiters, &mut retired.waiters);
+                ifo.waiters.clear();
+            }
+        }
+        *slot = Some(ifo);
+        self.len += 1;
+    }
+
+    /// Retire the oldest entry and return it. Its slot stays allocated
+    /// for the entry that reuses it.
+    pub(crate) fn pop_front(&mut self) -> Option<&Ifo> {
+        if self.len == 0 {
+            return None;
+        }
+        let i = self.slot(self.base);
+        self.base += 1;
+        self.len -= 1;
+        self.slots[i].as_ref()
+    }
+
+    /// The entries in seq order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Ifo> {
+        (self.base..self.base + self.len as u64).filter_map(|s| self.get(s))
+    }
+
+    /// Double the ring (to at least `MIN_SLOTS`), re-seating every entry
+    /// at its slot under the new mask. Called only when the ring is full.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let mut old = mem::take(&mut self.slots);
+        self.slots.resize_with(cap, || None);
+        for seq in self.base..self.base + self.len as u64 {
+            let from = seq as usize & (old.len() - 1);
+            let to = self.slot(seq);
+            self.slots[to] = old[from].take();
+        }
+    }
 }
 
 /// A fetched op waiting to dispatch.
@@ -129,8 +310,7 @@ pub struct PipelineState {
 
     // Pipeline state.
     pub(crate) cycle: u64,
-    pub(crate) ifos: VecDeque<Ifo>,
-    pub(crate) base_seq: u64,
+    pub(crate) window: Window,
     pub(crate) next_seq: u64,
     pub(crate) committed_total: u64,
     pub(crate) dispatched_total: u64,
@@ -198,8 +378,7 @@ impl PipelineState {
             pvt,
             latencies: MultiCycleLatencies::default(),
             cycle: 0,
-            ifos: VecDeque::new(),
-            base_seq: 0,
+            window: Window::default(),
             next_seq: 0,
             committed_total: 0,
             dispatched_total: 0,
@@ -249,19 +428,11 @@ impl PipelineState {
     /// out of the window (architecturally ready).
     #[must_use]
     pub fn ifo(&self, tag: u64) -> Option<&Ifo> {
-        if tag < self.base_seq {
-            None // retired long ago: architecturally ready
-        } else {
-            self.ifos.get((tag - self.base_seq) as usize)
-        }
+        self.window.get(tag)
     }
 
     pub(crate) fn ifo_mut(&mut self, tag: u64) -> Option<&mut Ifo> {
-        if tag < self.base_seq {
-            None
-        } else {
-            self.ifos.get_mut((tag - self.base_seq) as usize)
-        }
+        self.window.get_mut(tag)
     }
 
     pub(crate) fn pool_mut(&mut self, kind: PoolKind) -> &mut FuPool {

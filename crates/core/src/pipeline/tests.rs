@@ -42,7 +42,7 @@ fn stuck_simulator() -> Simulator {
     };
     sim.state
         .allocate(&*sim.sched, DynOp::simple(0, 0, instr), &mut NullSink);
-    sim.state.ifos[0].earliest_req = u64::MAX; // never requests selection
+    sim.state.ifo_mut(0).unwrap().earliest_req = u64::MAX; // never requests selection
     sim.state.fetch_stopped = true;
     sim
 }
@@ -194,6 +194,44 @@ fn checkpointed_run_matches_plain_run_and_restores_identically() {
     assert_eq!(tail, resnap, "resumed checkpoints must be byte-identical");
 }
 
+#[test]
+fn window_ring_recycles_slots_and_keeps_live_waiters() {
+    use state::Window;
+    let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
+    let mut sim = Simulator::new(config).expect("valid config");
+    sim.state
+        .allocate(&*sim.sched, DynOp::simple(0, 0, Instr::Halt), &mut NullSink);
+    let template = sim.state.ifo(0).expect("dispatched").clone();
+    let entry = |seq: u64, waiters: Vec<u64>| {
+        let mut x = template.clone();
+        x.op.seq = seq;
+        x.waiters = waiters;
+        x
+    };
+    let mut w = Window::default();
+    for seq in 0..40 {
+        w.push(entry(seq, Vec::with_capacity(8))); // grows 16 -> 32 -> 64
+    }
+    assert!((0..40).all(|s| w.get(s).is_some_and(|x| x.op.seq == s)));
+    assert!(w.get(40).is_none());
+    for _ in 0..30 {
+        w.pop_front();
+    }
+    assert!(w.get(29).is_none() && w.get(30).is_some());
+    for seq in 40..64 {
+        w.push(entry(seq, Vec::new()));
+    }
+    // Seq 64 reuses seq 0's slot: a fresh entry inherits its list's
+    // capacity, while one arriving with live waiters (a restored
+    // snapshot's) keeps them.
+    w.push(entry(64, Vec::new()));
+    assert!(w.get(64).expect("pushed").waiters.capacity() >= 8);
+    w.push(entry(65, vec![7, 9]));
+    assert_eq!(w.get(65).expect("pushed").waiters, [7, 9]);
+    let seqs: Vec<u64> = w.iter().map(|x| x.op.seq).collect();
+    assert_eq!(seqs, (30..66).collect::<Vec<_>>());
+}
+
 fn load_op(seq: u64, pc: u32, addr: u32) -> DynOp {
     let mut d = DynOp::simple(
         seq,
@@ -276,28 +314,30 @@ fn partially_overlapping_unissued_store_blocks_but_still_forwards_when_issued() 
     // While the store is unissued its data is unavailable: the
     // overlapping load is blocked, the adjacent (non-overlapping)
     // load is not.
-    assert!(!sim.state.ifos[0].issued);
+    assert!(!sim.state.ifo(0).unwrap().issued);
     assert!(
-        sim.state.load_blocked(&sim.state.ifos[1]),
+        sim.state.load_blocked(sim.state.ifo(1).unwrap()),
         "partial overlap with an unissued store must block the load"
     );
     assert!(
-        !sim.state.load_blocked(&sim.state.ifos[2]),
+        !sim.state.load_blocked(sim.state.ifo(2).unwrap()),
         "byte ranges [0x100,0x104) and [0x104,0x108) do not overlap"
     );
 
     // Once the store has issued, the same overlap forwards instead.
-    sim.state.ifos[0].issued = true;
-    assert!(!sim.state.load_blocked(&sim.state.ifos[1]));
+    sim.state.ifo_mut(0).unwrap().issued = true;
+    assert!(!sim.state.load_blocked(sim.state.ifo(1).unwrap()));
     assert_eq!(
         sim.state
-            .forwarding_store(&sim.state.ifos[1])
+            .forwarding_store(sim.state.ifo(1).unwrap())
             .map(|s| s.op.seq),
         Some(0),
         "partial overlap forwards from the youngest older store"
     );
     assert!(
-        sim.state.forwarding_store(&sim.state.ifos[2]).is_none(),
+        sim.state
+            .forwarding_store(sim.state.ifo(2).unwrap())
+            .is_none(),
         "non-overlapping load must go to memory"
     );
 }

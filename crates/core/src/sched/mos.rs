@@ -70,7 +70,7 @@ impl Scheduler for MosScheduler {
             // or retired entries) fail the same filter the scan applies.
             let candidate = if state.scan_mode() {
                 state
-                    .ifos
+                    .window
                     .iter()
                     .filter(|y| fusable(state, y, head, head_pool, budget))
                     .min_by_key(|y| y.op.seq)

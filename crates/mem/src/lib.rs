@@ -43,4 +43,6 @@ pub use model::{
     build_memory_model, ClassicHierarchy, ContentionStats, MemModelConfig, MemReject, MemResponse,
     MemoryModel,
 };
-pub use prefetch::{PrefetchEntryState, PrefetchState, PrefetchStats, StridePrefetcher};
+pub use prefetch::{
+    PrefetchEntryState, PrefetchState, PrefetchStats, PrefetchTargets, StridePrefetcher,
+};

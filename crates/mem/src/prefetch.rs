@@ -70,6 +70,33 @@ pub struct PrefetchState {
     pub stats: PrefetchStats,
 }
 
+/// The prefetch addresses one training observation emits, in order:
+/// `addr + k * stride` for `k = 1..=degree`, skipping any below address
+/// 0. A plain iterator over integers, so training never touches the
+/// heap.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchTargets {
+    addr: u64,
+    stride: i64,
+    k: u32,
+    degree: u32,
+}
+
+impl Iterator for PrefetchTargets {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        while self.k < self.degree {
+            self.k += 1;
+            let target = self.addr as i64 + self.stride * i64::from(self.k);
+            if target >= 0 {
+                return Some(target as u64);
+            }
+        }
+        None
+    }
+}
+
 /// A stride prefetcher trained on the demand-load address stream.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
@@ -103,12 +130,15 @@ impl StridePrefetcher {
 
     /// Train on a demand load and return the prefetch addresses to fill
     /// (empty unless the entry is in the steady state).
-    pub fn train(&mut self, pc: u32, addr: u64) -> Vec<u64> {
+    pub fn train(&mut self, pc: u32, addr: u64) -> PrefetchTargets {
         self.stats.trains += 1;
         let mask = self.entries.len() - 1;
         let slot = (pc as usize >> 2) & mask;
         let e = &mut self.entries[slot];
-        let mut out = Vec::new();
+        let mut out = PrefetchTargets {
+            addr,
+            ..PrefetchTargets::default()
+        };
         if !e.valid || e.pc_tag != pc {
             *e = Entry {
                 valid: true,
@@ -128,12 +158,8 @@ impl StridePrefetcher {
             State::Transient | State::Steady => {
                 if stride == e.stride && stride != 0 {
                     e.state = State::Steady;
-                    for k in 1..=self.degree {
-                        let target = addr as i64 + stride * i64::from(k);
-                        if target >= 0 {
-                            out.push(target as u64);
-                        }
-                    }
+                    out.stride = stride;
+                    out.degree = self.degree;
                 } else {
                     e.stride = stride;
                     e.state = State::Transient;
@@ -141,7 +167,8 @@ impl StridePrefetcher {
             }
         }
         e.last_addr = addr;
-        self.stats.issued += out.len() as u64;
+        // `PrefetchTargets` is `Copy`: counting consumes a copy.
+        self.stats.issued += out.count() as u64;
         out
     }
 
@@ -214,14 +241,19 @@ impl StridePrefetcher {
 mod tests {
     use super::*;
 
+    /// Train and collect the emitted targets.
+    fn fills(p: &mut StridePrefetcher, pc: u32, addr: u64) -> Vec<u64> {
+        p.train(pc, addr).collect()
+    }
+
     #[test]
     fn steady_stride_prefetches_ahead() {
         let mut p = StridePrefetcher::new(16, 2);
-        assert!(p.train(0x40, 1000).is_empty()); // allocate
-        assert!(p.train(0x40, 1064).is_empty()); // learn stride 64
-        let pf = p.train(0x40, 1128); // confirm
+        assert!(fills(&mut p, 0x40, 1000).is_empty()); // allocate
+        assert!(fills(&mut p, 0x40, 1064).is_empty()); // learn stride 64
+        let pf = fills(&mut p, 0x40, 1128); // confirm
         assert_eq!(pf, vec![1192, 1256]);
-        let pf = p.train(0x40, 1192);
+        let pf = fills(&mut p, 0x40, 1192);
         assert_eq!(pf, vec![1256, 1320]);
     }
 
@@ -230,21 +262,30 @@ mod tests {
         let mut p = StridePrefetcher::new(16, 1);
         p.train(0x40, 1000);
         p.train(0x40, 1064);
-        assert!(!p.train(0x40, 1128).is_empty());
+        assert!(!fills(&mut p, 0x40, 1128).is_empty());
         assert!(
-            p.train(0x40, 5000).is_empty(),
+            fills(&mut p, 0x40, 5000).is_empty(),
             "broken stride stops prefetching"
         );
-        assert!(p.train(0x40, 5008).is_empty(), "transient again");
-        assert_eq!(p.train(0x40, 5016), vec![5024]);
+        assert!(fills(&mut p, 0x40, 5008).is_empty(), "transient again");
+        assert_eq!(fills(&mut p, 0x40, 5016), vec![5024]);
     }
 
     #[test]
     fn zero_stride_never_prefetches() {
         let mut p = StridePrefetcher::new(16, 2);
         for _ in 0..5 {
-            assert!(p.train(0x40, 777).is_empty());
+            assert!(fills(&mut p, 0x40, 777).is_empty());
         }
+    }
+
+    #[test]
+    fn descending_stride_drops_targets_below_zero() {
+        let mut p = StridePrefetcher::new(16, 3);
+        p.train(0x40, 300);
+        p.train(0x40, 200);
+        assert_eq!(fills(&mut p, 0x40, 100), vec![0]);
+        assert_eq!(p.stats().issued, 1);
     }
 
     #[test]
@@ -254,8 +295,8 @@ mod tests {
         p.train(0x44, 100_000);
         p.train(0x40, 64);
         p.train(0x44, 100_008);
-        assert_eq!(p.train(0x40, 128), vec![192]);
-        assert_eq!(p.train(0x44, 100_016), vec![100_024]);
+        assert_eq!(fills(&mut p, 0x40, 128), vec![192]);
+        assert_eq!(fills(&mut p, 0x44, 100_016), vec![100_024]);
     }
 
     #[test]
@@ -269,7 +310,7 @@ mod tests {
         fresh.import_state(&state).unwrap();
         assert_eq!(fresh.export_state(), state);
         // Both confirm the stride and emit identical prefetches.
-        assert_eq!(p.train(0x40, 1128), fresh.train(0x40, 1128));
+        assert_eq!(fills(&mut p, 0x40, 1128), fills(&mut fresh, 0x40, 1128));
         assert_eq!(p.stats(), fresh.stats());
     }
 
@@ -301,6 +342,8 @@ mod tests {
     struct RefModel {
         slots: Vec<Option<(u32, u64, i64, u32)>>,
         degree: u32,
+        /// Targets emitted so far.
+        issued: u64,
     }
 
     impl RefModel {
@@ -308,6 +351,7 @@ mod tests {
             RefModel {
                 slots: vec![None; entries.next_power_of_two()],
                 degree,
+                issued: 0,
             }
         }
 
@@ -321,11 +365,13 @@ mod tests {
                     let seen = if confirmed { seen + 1 } else { 1 };
                     self.slots[slot] = Some((pc, addr, s, seen));
                     if confirmed {
-                        (1..=self.degree)
+                        let out: Vec<u64> = (1..=self.degree)
                             .map(|k| addr as i64 + s * i64::from(k))
                             .filter(|&a| a >= 0)
                             .map(|a| a as u64)
-                            .collect()
+                            .collect();
+                        self.issued += out.len() as u64;
+                        out
                     } else {
                         Vec::new()
                     }
@@ -378,11 +424,16 @@ mod tests {
                     }
                     None => lcg(&mut rng) % 0x10000,
                 };
-                let got = dut.train(pc, addr);
+                let got = fills(&mut dut, pc, addr);
                 let want = reference.train(pc, addr);
                 assert_eq!(
                     got, want,
                     "seed {seed} step {step}: pc {pc:#x} addr {addr:#x} diverged"
+                );
+                assert_eq!(
+                    dut.stats().issued,
+                    reference.issued,
+                    "seed {seed} step {step}: issued count diverged"
                 );
             }
         }
@@ -405,7 +456,7 @@ mod tests {
             last_delta = delta;
             addr = (addr as i64 + delta).max(0) as u64;
             assert!(
-                p.train(0x80, addr).is_empty(),
+                fills(&mut p, 0x80, addr).is_empty(),
                 "step {step}: prefetch on a never-repeating stride stream"
             );
         }
@@ -417,7 +468,7 @@ mod tests {
             let mut p = StridePrefetcher::new(16, degree);
             p.train(0x40, 1000);
             p.train(0x40, 1064);
-            let pf = p.train(0x40, 1128);
+            let pf = fills(&mut p, 0x40, 1128);
             assert_eq!(pf.len(), degree as usize);
             for (k, a) in pf.iter().enumerate() {
                 assert_eq!(*a, 1128 + 64 * (k as u64 + 1));
@@ -438,7 +489,7 @@ mod tests {
         resumed.import_state(&state).unwrap();
         for i in 200..260u64 {
             let pc = 0x40 + ((i % 8) as u32) * 4;
-            assert_eq!(p.train(pc, i * 8), resumed.train(pc, i * 8));
+            assert_eq!(fills(&mut p, pc, i * 8), fills(&mut resumed, pc, i * 8));
         }
         assert_eq!(p.export_state(), resumed.export_state());
     }
