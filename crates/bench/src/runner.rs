@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
 use redsoc_core::events::RingSink;
-use redsoc_core::pipeline::{CancelToken, CheckpointPlan, SimError, Simulator};
+use redsoc_core::pipeline::{CancelToken, SimError, Simulator};
 use redsoc_core::sched::ts::run_ts;
 use redsoc_core::stats::StallCause;
 use redsoc_isa::instruction::Instr;
@@ -164,89 +164,40 @@ fn sim_summary(job: &Job, report: &redsoc_core::stats::SimReport) -> CellSummary
     }
 }
 
-/// Checkpoint context for one supervised sim attempt: which journal the
-/// snapshots go to and the identity they carry.
-pub(crate) struct SnapCtx<'a> {
-    journal: &'a Journal,
-    key: &'a str,
-    digest: &'a str,
-    /// Checkpoint cadence in simulated cycles (pre-rounding; see
-    /// [`CheckpointPlan::new`]).
-    every: u64,
+/// Attach the supervisor's cycle budget and the process-isolation
+/// progress cell (the worker heartbeat reads what the token publishes)
+/// to `sim`. Without either, the run keeps its default, inert token.
+fn with_watchdog(
+    sim: Simulator,
+    sup: &SupervisorConfig,
+    progress: Option<&Arc<AtomicU64>>,
+) -> Simulator {
+    if sup.job_timeout_cycles.is_none() && progress.is_none() {
+        return sim;
+    }
+    let mut token = match sup.job_timeout_cycles {
+        Some(budget) => CancelToken::with_budget(budget),
+        None => CancelToken::new(),
+    };
+    if let Some(cell) = progress {
+        token = token.with_progress(Arc::clone(cell));
+    }
+    sim.with_cancel(token)
 }
 
 /// One attempt of a simulator-mode job (never [`Mode::Ts`]).
-///
-/// With a [`SnapCtx`], the attempt first tries to resume from the newest
-/// valid journaled checkpoint (an unusable one — torn, stale code, wrong
-/// trace — degrades to a fresh run with a warning, never a failure), and
-/// emits new checkpoints at the requested cadence as it runs. Without
-/// one, the run takes the plan-less hot path: zero checkpoint
-/// bookkeeping, byte-identical to pre-snapshot builds.
 fn sim_attempt(
     cache: &TraceCache,
     job: &Job,
     sched: SchedulerConfig,
     sup: &SupervisorConfig,
-    snap: Option<&SnapCtx<'_>>,
     progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
     let trace = cache.get(job.bench);
     let config = job.core.clone().with_sched(sched);
     let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
-
-    // Mid-job restore: resume from the newest restorable checkpoint.
-    let restored = snap.and_then(|s| {
-        let (cycle, blob) = s.journal.latest_snapshot(s.key, s.digest)?;
-        match Simulator::restore(config.clone(), &blob, &trace) {
-            Ok(resumed) => Some(resumed),
-            Err(e) => {
-                eprintln!(
-                    "warning: discarding unusable checkpoint for {} (cycle {cycle}): {e}",
-                    s.key
-                );
-                None
-            }
-        }
-    });
-    let (mut sim, cursor) = match restored {
-        Some((sim, cursor)) => (sim, cursor as usize),
-        None => (
-            Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?,
-            0,
-        ),
-    };
-    if sup.job_timeout_cycles.is_some() || progress.is_some() {
-        // The budget is in absolute simulated cycles, so a restored run
-        // trips the watchdog at exactly the same cycle a fresh one would.
-        // The progress cell (process isolation) piggybacks on the same
-        // poll: the worker heartbeat reads what the token publishes.
-        let mut token = match sup.job_timeout_cycles {
-            Some(budget) => CancelToken::with_budget(budget),
-            None => CancelToken::new(),
-        };
-        if let Some(cell) = progress {
-            token = token.with_progress(Arc::clone(cell));
-        }
-        sim = sim.with_cancel(token);
-    }
-
-    let rest = trace[cursor..].iter().copied();
-    let outcome = match snap {
-        Some(s) => {
-            let mut save = |cycle: u64, payload: Vec<u8>| {
-                if let Err(e) = s.journal.record_snapshot(s.key, s.digest, cycle, &payload) {
-                    eprintln!(
-                        "warning: failed to checkpoint {} at cycle {cycle}: {e}",
-                        s.key
-                    );
-                }
-            };
-            sim.run_events_checkpointed(rest, &mut ring, CheckpointPlan::new(s.every, &mut save))
-        }
-        None => sim.run_events(rest, &mut ring),
-    };
-    match outcome {
+    let sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
+    match with_watchdog(sim, sup, progress).run_events(trace.iter().copied(), &mut ring) {
         Ok(report) => {
             let summary = sim_summary(job, &report);
             Ok((JobOutput::Sim(Box::new(report)), summary))
@@ -256,8 +207,7 @@ fn sim_attempt(
 }
 
 /// One attempt of the injected-hang fault: run the endless stream under
-/// the same watchdog a real job gets. Never snapshots — a hung job's
-/// checkpoints would only preserve the hang across resume.
+/// the same watchdog a real job gets.
 fn hang_attempt(
     job: &Job,
     sup: &SupervisorConfig,
@@ -269,18 +219,8 @@ fn hang_attempt(
         .unwrap_or_else(SchedulerConfig::baseline);
     let config = job.core.clone().with_sched(sched);
     let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
-    let mut sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
-    if sup.job_timeout_cycles.is_some() || progress.is_some() {
-        let mut token = match sup.job_timeout_cycles {
-            Some(budget) => CancelToken::with_budget(budget),
-            None => CancelToken::new(),
-        };
-        if let Some(cell) = progress {
-            token = token.with_progress(Arc::clone(cell));
-        }
-        sim = sim.with_cancel(token);
-    }
-    match sim.run_events(endless_trace(), &mut ring) {
+    let sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
+    match with_watchdog(sim, sup, progress).run_events(endless_trace(), &mut ring) {
         // Unreachable in practice: the stream never ends.
         Ok(report) => {
             let summary = sim_summary(job, &report);
@@ -291,9 +231,7 @@ fn hang_attempt(
 }
 
 /// One attempt of a TS job, given the measured baseline (cycles,
-/// committed). Never snapshots: the analysis re-runs a baseline-policy
-/// pipeline under a rescaled clock and is cheap relative to the sweep —
-/// its crash-safety unit is the completed cell record.
+/// committed).
 fn ts_attempt(
     cache: &TraceCache,
     job: &Job,
@@ -349,7 +287,6 @@ pub(crate) fn attempt_with_faults(
     ts_base: Option<(u64, u64)>,
     sup: &SupervisorConfig,
     attempt: u32,
-    snap: Option<&SnapCtx<'_>>,
     progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
     let key = job.key();
@@ -378,7 +315,7 @@ pub(crate) fn attempt_with_faults(
                 Vec::new(),
             )),
             (_, _) => match job.mode.sched(job.bench) {
-                Some(sched) => sim_attempt(cache, job, sched, sup, snap, progress),
+                Some(sched) => sim_attempt(cache, job, sched, sup, progress),
                 None => Err((
                     JobError::Sim(SimError::BadConfig(format!(
                         "mode {} has no scheduler",
@@ -463,22 +400,8 @@ fn exec_cell(
     let last_events: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let supervised = supervise(sup, |attempt| {
         let outcome = match isolation {
-            Isolation::Thread => {
-                // Snapshotting needs both an interval and a journal
-                // to write into; the CLI enforces that pairing, and
-                // library callers simply get no checkpoints.
-                let snap = match (sup.snapshot_interval, journal) {
-                    (Some(every), Some(journal)) => Some(SnapCtx {
-                        journal,
-                        key: &key,
-                        digest: &digest,
-                        every,
-                    }),
-                    _ => None,
-                };
-                attempt_with_faults(cache, job, ts_base, sup, attempt, snap.as_ref(), None)
-                    .map(|(output, summary)| (Some(output), summary))
-            }
+            Isolation::Thread => attempt_with_faults(cache, job, ts_base, sup, attempt, None)
+                .map(|(output, summary)| (Some(output), summary)),
             Isolation::Process(cfg) => {
                 if job.mode == Mode::Ts && ts_base.is_none() {
                     // No point shipping a TS cell whose baseline failed

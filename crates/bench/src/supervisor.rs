@@ -422,12 +422,6 @@ pub struct SupervisorConfig {
     pub backoff_base: Duration,
     /// Cycle budget per job attempt; `None` disables the watchdog.
     pub job_timeout_cycles: Option<u64>,
-    /// In-flight checkpoint cadence (simulated cycles). `None` — the
-    /// default — disables snapshotting entirely: the run takes the
-    /// plan-less hot path with zero checkpoint bookkeeping. Only
-    /// simulator-mode jobs snapshot; TS analyses and the injected-hang
-    /// fault never do. Requires a journal to have any effect.
-    pub snapshot_interval: Option<u64>,
     /// Injected faults (tests and the CI resume smoke; empty otherwise).
     pub faults: FaultPlan,
 }
@@ -438,7 +432,6 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             backoff_base: Duration::from_millis(25),
             job_timeout_cycles: None,
-            snapshot_interval: None,
             faults: FaultPlan::none(),
         }
     }

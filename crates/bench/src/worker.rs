@@ -13,7 +13,7 @@
 //! `type` field. Frame types: `hello` (worker → parent, once at startup),
 //! `job` (parent → worker, one grid cell), `heartbeat` (worker → parent,
 //! wall-timed liveness carrying the latest simulated cycle at
-//! checkpoint-poll granularity), `ok` / `err` (worker → parent, one per
+//! cancellation-poll granularity), `ok` / `err` (worker → parent, one per
 //! job), and `shutdown` (parent → worker). Anything else — a torn frame,
 //! an oversized prefix, garbage bytes, an EOF mid-frame — is a
 //! [`FrameError::Protocol`] and never a panic or a hang.
@@ -468,7 +468,7 @@ struct WorkerShared {
     /// so an idle worker never fills the pipe).
     active: AtomicBool,
     /// Latest simulated cycle, published by the [`CancelToken`] progress
-    /// observer at checkpoint-poll granularity.
+    /// observer at cancellation-poll granularity.
     progress: AtomicU64,
 }
 
@@ -584,7 +584,6 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
             spec.ts_base,
             &sup,
             spec.attempt,
-            None,
             Some(&progress),
         )
     }));

@@ -1,8 +1,8 @@
 //! Cross-scheduler golden-sweep equivalence.
 //!
-//! The committed fixture `fixtures/golden_sweep_len2000.json` is the full
-//! (benchmark × core × mode) sweep at trace length 2000, captured from the
-//! pre-refactor monolithic simulator. Re-running the sweep through the
+//! The committed baseline `BENCH_sweep.json` at the repository root is the
+//! full (benchmark × core × mode) sweep at trace length 2000, matching the
+//! pre-refactor monolithic simulator cell for cell. Re-running the sweep through the
 //! staged pipeline + `Scheduler`-trait decomposition must reproduce it
 //! **byte-identically** after canonicalisation (wall-clock, thread count
 //! and resume provenance neutralised) — for every scheduler mode
@@ -10,12 +10,12 @@
 //! cycle-count, IPC, stall-attribution, speedup or status drift in any of
 //! the 192 cells fails this test.
 //!
-//! To regenerate the fixture after an *intentional* behaviour change:
+//! It is also the `redsoc perfgate` runtime baseline, so a re-baseline
+//! after an *intentional* behaviour change touches this one file:
 //!
 //! ```text
 //! cargo build --release
-//! ./target/release/redsoc bench --threads 4 --len 2000 \
-//!     --out crates/bench/tests/fixtures/golden_sweep_len2000.json
+//! ./target/release/redsoc bench --threads 1 --len 2000 --out BENCH_sweep.json
 //! ```
 
 use redsoc_bench::grid::{canonicalize_sweep, sweep_json, Mode};
@@ -26,7 +26,7 @@ use redsoc_bench::TraceCache;
 /// Must match the `--len` the fixture was captured with.
 const GOLDEN_LEN: u64 = 2000;
 
-const GOLDEN: &str = include_str!("fixtures/golden_sweep_len2000.json");
+const GOLDEN: &str = include_str!("../../../BENCH_sweep.json");
 
 #[test]
 fn sweep_matches_pre_refactor_golden_fixture() {

@@ -141,57 +141,6 @@ impl Gshare {
     pub fn stats(&self) -> BranchStats {
         self.stats
     }
-
-    /// All mutable predictor state (three counter tables, the global
-    /// history register, stats), for snapshotting. `history_bits` is
-    /// configuration and is not included.
-    pub(crate) fn export_state(&self) -> GshareState {
-        GshareState {
-            bimodal: self.bimodal.clone(),
-            gshare: self.gshare.clone(),
-            chooser: self.chooser.clone(),
-            history: self.history,
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state captured by `export_state`. Fails on a table-size
-    /// mismatch or an out-of-range counter.
-    pub(crate) fn import_state(&mut self, state: &GshareState) -> Result<(), String> {
-        if state.bimodal.len() != self.bimodal.len()
-            || state.gshare.len() != self.gshare.len()
-            || state.chooser.len() != self.chooser.len()
-        {
-            return Err("branch-predictor table size mismatch".to_owned());
-        }
-        for &c in state
-            .bimodal
-            .iter()
-            .chain(&state.gshare)
-            .chain(&state.chooser)
-        {
-            if c > 3 {
-                return Err(format!("2-bit counter out of range: {c}"));
-            }
-        }
-        self.bimodal.copy_from_slice(&state.bimodal);
-        self.gshare.copy_from_slice(&state.gshare);
-        self.chooser.copy_from_slice(&state.chooser);
-        self.history = state.history;
-        self.stats = state.stats;
-        Ok(())
-    }
-}
-
-/// Serialized image of a [`Gshare`] predictor (crate-internal snapshot
-/// plumbing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct GshareState {
-    pub(crate) bimodal: Vec<u8>,
-    pub(crate) gshare: Vec<u8>,
-    pub(crate) chooser: Vec<u8>,
-    pub(crate) history: u64,
-    pub(crate) stats: BranchStats,
 }
 
 #[cfg(test)]

@@ -98,25 +98,6 @@ impl FuPool {
     pub fn units(&self) -> u32 {
         self.free_at.len() as u32
     }
-
-    /// Per-unit busy-until cycles, for snapshotting.
-    pub(crate) fn export_state(&self) -> &[u64] {
-        &self.free_at
-    }
-
-    /// Restore per-unit busy-until cycles captured by `export_state`.
-    /// Fails if the unit count differs from this pool's configuration.
-    pub(crate) fn import_state(&mut self, free_at: &[u64]) -> Result<(), String> {
-        if free_at.len() != self.free_at.len() {
-            return Err(format!(
-                "FU pool mismatch: snapshot has {} units, pool holds {}",
-                free_at.len(),
-                self.free_at.len()
-            ));
-        }
-        self.free_at.copy_from_slice(free_at);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

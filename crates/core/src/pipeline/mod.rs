@@ -44,7 +44,6 @@ pub mod commit;
 pub mod exec;
 pub mod frontend;
 pub mod issue;
-pub mod snapshot;
 pub mod state;
 pub mod wakeup;
 
@@ -61,7 +60,6 @@ use crate::events::{EventSink, NullSink, PipeEvent};
 use crate::sched::{build_scheduler, Scheduler};
 use crate::stats::{SimReport, StallCause};
 
-use snapshot::SnapshotError;
 use state::PipelineState;
 
 /// Simulation errors.
@@ -146,7 +144,7 @@ pub struct CancelToken {
     flag: Arc<AtomicBool>,
     budget: Option<u64>,
     /// Optional progress observer: the latest polled cycle is published
-    /// here at checkpoint-poll granularity (every 1024 cycles), so an
+    /// here at cancellation-poll granularity (every 1024 cycles), so an
     /// external supervisor — the process-isolation heartbeat — can see a
     /// live cycle counter without touching the hot loop.
     progress: Option<Arc<AtomicU64>>,
@@ -205,46 +203,6 @@ impl CancelToken {
             p.store(cycle, Ordering::Relaxed);
         }
         self.budget.is_some_and(|b| cycle >= b) || self.is_cancelled()
-    }
-}
-
-/// Periodic checkpointing for a simulation run: every `every` cycles
-/// (rounded up to a multiple of the 1024-cycle poll stride, so the hot
-/// loop gains no new per-cycle branch), the run captures a full
-/// [`snapshot`] and hands it to `save` together with the cycle it was
-/// taken at.
-///
-/// Checkpoint cycles are **absolute**: a run restored from cycle *C*
-/// checkpoints at exactly the same cycles an uninterrupted run does, so
-/// later checkpoints of the two runs are byte-identical — the property
-/// the chaos harness and the equivalence tests lean on.
-pub struct CheckpointPlan<'a> {
-    every: u64,
-    save: &'a mut dyn FnMut(u64, Vec<u8>),
-}
-
-impl<'a> CheckpointPlan<'a> {
-    /// A plan that snapshots every `every_cycles` cycles (rounded up to a
-    /// multiple of 1024) into `save(cycle, blob)`.
-    pub fn new(every_cycles: u64, save: &'a mut dyn FnMut(u64, Vec<u8>)) -> Self {
-        CheckpointPlan {
-            every: every_cycles.max(1).next_multiple_of(1024),
-            save,
-        }
-    }
-
-    /// The effective interval after rounding.
-    #[must_use]
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-}
-
-impl core::fmt::Debug for CheckpointPlan<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("CheckpointPlan")
-            .field("every", &self.every)
-            .finish_non_exhaustive()
     }
 }
 
@@ -322,74 +280,6 @@ impl Simulator {
         self
     }
 
-    /// Serialize the complete simulator state (pipeline + scheduler) into
-    /// a self-checking binary snapshot (see [`snapshot`] for the format
-    /// and the completeness contract).
-    ///
-    /// Only meaningful at a cycle boundary — i.e. on a simulator that is
-    /// not currently inside a `run` call, such as one about to start or
-    /// one captured through a [`CheckpointPlan`] (which invokes the same
-    /// encoder at the top of the cycle).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        snapshot::encode(&self.state, &*self.sched)
-    }
-
-    /// Rebuild a mid-run simulator from a snapshot `blob`, rehydrating
-    /// in-flight ops from `trace` (the same full trace the original run
-    /// consumed, starting at seq 0). The scheduler is rebuilt from
-    /// `config.sched.mode` as [`Simulator::new`] does.
-    ///
-    /// Returns the simulator and the **trace cursor**: resume the run by
-    /// feeding `trace[cursor..]` to [`Simulator::run`] /
-    /// [`Simulator::run_events`]. The resumed run produces exactly the
-    /// event stream, statistics and final report of the uninterrupted
-    /// original.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapshotError`]: a torn or corrupt blob, a version or
-    /// config/scheduler mismatch, or a `trace` that does not contain the
-    /// ops the snapshot's window references.
-    pub fn restore(
-        config: CoreConfig,
-        blob: &[u8],
-        trace: &[DynOp],
-    ) -> Result<(Self, u64), SnapshotError> {
-        let sched = build_scheduler(&config.sched);
-        Simulator::restore_with_scheduler(config, sched, blob, trace)
-    }
-
-    /// [`Simulator::restore`] with an explicit [`Scheduler`] — the
-    /// restore-side counterpart of [`Simulator::with_scheduler`], for
-    /// policies not reachable through `config.sched.mode` (e.g. the TS
-    /// scheduler or external implementations). The scheduler's own
-    /// [`Scheduler::restore`] hook receives the private blob captured by
-    /// its [`Scheduler::snapshot`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulator::restore`]; an invalid `config` is reported as
-    /// [`SnapshotError::Corrupt`].
-    pub fn restore_with_scheduler(
-        config: CoreConfig,
-        mut sched: Box<dyn Scheduler>,
-        blob: &[u8],
-        trace: &[DynOp],
-    ) -> Result<(Self, u64), SnapshotError> {
-        let mut state = PipelineState::new(config)
-            .map_err(|e| SnapshotError::Corrupt(format!("cannot rebuild pipeline: {e}")))?;
-        let cursor = snapshot::decode_into(&mut state, sched.as_mut(), blob, trace)?;
-        Ok((
-            Simulator {
-                state,
-                sched,
-                cancel: CancelToken::new(),
-            },
-            cursor,
-        ))
-    }
-
     /// Run the trace to completion and return the report.
     ///
     /// This is the [`NullSink`] specialisation of the single generic
@@ -419,35 +309,8 @@ impl Simulator {
     /// progress; the error carries `sink.recent()` as a diagnostic.
     pub fn run_events<S: EventSink>(
         self,
-        trace: impl Iterator<Item = DynOp>,
-        sink: &mut S,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(trace, sink, None)
-    }
-
-    /// Run the trace with periodic snapshot checkpoints (see
-    /// [`CheckpointPlan`]). Identical to [`Simulator::run_events`] when
-    /// the plan never fires; with checkpointing off entirely, use
-    /// `run_events` — the plan-less path has no checkpoint bookkeeping on
-    /// the per-cycle hot path at all.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] exactly as [`Simulator::run_events`] does.
-    pub fn run_events_checkpointed<S: EventSink>(
-        self,
-        trace: impl Iterator<Item = DynOp>,
-        sink: &mut S,
-        plan: CheckpointPlan<'_>,
-    ) -> Result<SimReport, SimError> {
-        self.run_inner(trace, sink, Some(plan))
-    }
-
-    fn run_inner<S: EventSink>(
-        self,
         mut trace: impl Iterator<Item = DynOp>,
         sink: &mut S,
-        mut checkpoint: Option<CheckpointPlan<'_>>,
     ) -> Result<SimReport, SimError> {
         let Simulator {
             mut state,
@@ -455,36 +318,18 @@ impl Simulator {
             cancel,
         } = self;
         let sched = &*sched;
-        // A restored simulator resumes mid-run: progress tracking starts
-        // from the restored position (equals 0/0 for a fresh run).
-        let mut last_progress_cycle = state.cycle;
-        let mut last_committed = state.committed_total;
-        // Checkpoints fire only strictly after the entry cycle, so a
-        // freshly restored run does not immediately re-save the
-        // checkpoint it came from.
-        let entry_cycle = state.cycle;
+        let mut last_progress_cycle = 0u64;
+        let mut last_committed = 0u64;
         loop {
-            // Cooperative cancellation and checkpointing: polled every
-            // 1024 cycles so the hot loop stays branch-predictable and
-            // watchdog budgets are still observed within a rounding error
-            // of their value.
-            if state.cycle & 0x3FF == 0 {
-                if cancel.should_stop(state.cycle) {
-                    return Err(SimError::Cancelled {
-                        cycle: state.cycle,
-                        committed: state.committed_total,
-                        recent_events: sink.recent(),
-                    });
-                }
-                // Capture happens at the top of the cycle, before any of
-                // the cycle's stages (including an epoch recalibration
-                // that may land on the same cycle) — the restored run
-                // re-executes the cycle from the same point.
-                if let Some(plan) = checkpoint.as_mut() {
-                    if state.cycle > entry_cycle && state.cycle.is_multiple_of(plan.every) {
-                        (plan.save)(state.cycle, snapshot::encode(&state, sched));
-                    }
-                }
+            // Cooperative cancellation: polled every 1024 cycles so the
+            // hot loop stays branch-predictable and watchdog budgets are
+            // still observed within a rounding error of their value.
+            if state.cycle & 0x3FF == 0 && cancel.should_stop(state.cycle) {
+                return Err(SimError::Cancelled {
+                    cycle: state.cycle,
+                    committed: state.committed_total,
+                    recent_events: sink.recent(),
+                });
             }
             // CPM-driven LUT recalibration at epoch boundaries (§V).
             if state.config.sched.pvt_guard_band && state.cycle.is_multiple_of(EPOCH_CYCLES) {

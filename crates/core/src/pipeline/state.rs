@@ -167,9 +167,10 @@ impl fmt::Debug for SrcTags {
 /// lands in it inherits the retired entry's `waiters` capacity, so a
 /// warmed-up run dispatches and retires without touching the heap. The
 /// ring starts empty, which keeps building a simulator cheap, and
-/// doubles on demand; a run never holds more than
-/// [`Window::bound`] entries, so growth stops at that bound's next power
-/// of two.
+/// doubles on demand. A run never holds more than `2 × rob_entries + 64`
+/// entries — one full ROB in flight, plus the `rob_entries + 64` retired
+/// entries that commit keeps resolvable (see DESIGN.md §8 for why that
+/// lag matters) — so growth stops at that bound's next power of two.
 #[derive(Debug, Default)]
 pub(crate) struct Window {
     slots: Vec<Option<Ifo>>,
@@ -181,27 +182,9 @@ impl Window {
     /// Ring size of the first allocation.
     const MIN_SLOTS: usize = 16;
 
-    /// The most entries a window on `config` ever holds: one full ROB in
-    /// flight, plus the `rob_entries + 64` retired entries that commit
-    /// keeps resolvable (see DESIGN.md §8 for why that lag matters).
-    pub(crate) fn bound(config: &CoreConfig) -> usize {
-        2 * config.rob_entries as usize + 64
-    }
-
     /// The oldest seq still in the window.
     pub(crate) fn base(&self) -> u64 {
         self.base
-    }
-
-    /// Number of entries, in flight and retired-but-resolvable.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Restart an empty window at `base` (snapshot restore).
-    pub(crate) fn reset(&mut self, base: u64) {
-        debug_assert_eq!(self.len, 0, "reset of a non-empty window");
-        self.base = base;
     }
 
     fn slot(&self, seq: u64) -> usize {
@@ -228,23 +211,21 @@ impl Window {
         }
     }
 
-    /// Append `ifo` as seq `base + len`. An entry with an empty waiter
-    /// list takes over the list (cleared, capacity kept) of the retired
-    /// entry whose slot it reuses; one that arrives with live waiters —
-    /// a restored snapshot's — keeps its own.
+    /// Append `ifo` as seq `base + len`. The new entry, which has no
+    /// waiters yet, takes over the list (cleared, capacity kept) of the
+    /// retired entry whose slot it reuses.
     pub(crate) fn push(&mut self, mut ifo: Ifo) {
         let seq = self.base + self.len as u64;
         debug_assert_eq!(ifo.op.seq, seq, "window entries are contiguous");
+        debug_assert!(ifo.waiters.is_empty(), "a new entry has no waiters");
         if self.len == self.slots.len() {
             self.grow();
         }
         let i = self.slot(seq);
         let slot = &mut self.slots[i];
         if let Some(retired) = slot {
-            if ifo.waiters.is_empty() {
-                mem::swap(&mut ifo.waiters, &mut retired.waiters);
-                ifo.waiters.clear();
-            }
+            mem::swap(&mut ifo.waiters, &mut retired.waiters);
+            ifo.waiters.clear();
         }
         *slot = Some(ifo);
         self.len += 1;

@@ -1,7 +1,6 @@
 //! Integration-style unit tests for the staged pipeline: golden
-//! behaviour, checkpoint/restore round-trips, store-to-load
-//! forwarding, and the contended memory model (split out of `mod.rs`
-//! to keep it within the module size budget).
+//! behaviour, the window ring, and store-to-load forwarding (split out
+//! of `mod.rs` to keep it within the module size budget).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -136,66 +135,7 @@ fn unattached_token_runs_to_completion() {
 }
 
 #[test]
-fn checkpointed_run_matches_plain_run_and_restores_identically() {
-    let trace = logic_chain_trace(20_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-
-    let full = Simulator::new(config.clone())
-        .expect("valid config")
-        .run(trace.iter().copied())
-        .expect("plain run");
-
-    let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save = |cycle: u64, blob: Vec<u8>| snaps.push((cycle, blob));
-    let checkpointed = Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(1024, &mut save),
-        )
-        .expect("checkpointed run");
-    assert_eq!(full, checkpointed, "checkpointing must not perturb the run");
-    assert!(snaps.len() >= 2, "expected several checkpoints");
-
-    // Restore from a mid-run checkpoint and run the tail: the final
-    // report must be identical to the uninterrupted run's.
-    let (cycle, blob) = snaps[snaps.len() / 2].clone();
-    let (sim, cursor) = Simulator::restore(config.clone(), &blob, &trace).expect("restore");
-    assert_eq!(sim.state.cycle, cycle);
-    let resumed = sim
-        .run(
-            trace[usize::try_from(cursor).expect("cursor fits")..]
-                .iter()
-                .copied(),
-        )
-        .expect("resumed run");
-    assert_eq!(full, resumed, "restored run diverged");
-
-    // A restored run checkpointing at the same absolute interval must
-    // reproduce the later checkpoints byte-for-byte.
-    let (first_cycle, first_blob) = snaps[0].clone();
-    let (sim, cursor) = Simulator::restore(config, &first_blob, &trace).expect("restore first");
-    let mut resnap: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save2 = |cycle: u64, blob: Vec<u8>| resnap.push((cycle, blob));
-    sim.run_events_checkpointed(
-        trace[usize::try_from(cursor).expect("cursor fits")..]
-            .iter()
-            .copied(),
-        &mut NullSink,
-        CheckpointPlan::new(1024, &mut save2),
-    )
-    .expect("resumed checkpointed run");
-    let tail: Vec<(u64, Vec<u8>)> = snaps
-        .iter()
-        .filter(|(c, _)| *c > first_cycle)
-        .cloned()
-        .collect();
-    assert_eq!(tail, resnap, "resumed checkpoints must be byte-identical");
-}
-
-#[test]
-fn window_ring_recycles_slots_and_keeps_live_waiters() {
+fn window_ring_recycles_slots_and_waiter_capacity() {
     use state::Window;
     let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
     let mut sim = Simulator::new(config).expect("valid config");
@@ -221,15 +161,11 @@ fn window_ring_recycles_slots_and_keeps_live_waiters() {
     for seq in 40..64 {
         w.push(entry(seq, Vec::new()));
     }
-    // Seq 64 reuses seq 0's slot: a fresh entry inherits its list's
-    // capacity, while one arriving with live waiters (a restored
-    // snapshot's) keeps them.
+    // Seq 64 reuses seq 0's slot and inherits its list's capacity.
     w.push(entry(64, Vec::new()));
     assert!(w.get(64).expect("pushed").waiters.capacity() >= 8);
-    w.push(entry(65, vec![7, 9]));
-    assert_eq!(w.get(65).expect("pushed").waiters, [7, 9]);
     let seqs: Vec<u64> = w.iter().map(|x| x.op.seq).collect();
-    assert_eq!(seqs, (30..66).collect::<Vec<_>>());
+    assert_eq!(seqs, (30..65).collect::<Vec<_>>());
 }
 
 fn load_op(seq: u64, pc: u32, addr: u32) -> DynOp {
@@ -340,180 +276,6 @@ fn partially_overlapping_unissued_store_blocks_but_still_forwards_when_issued() 
             .is_none(),
         "non-overlapping load must go to memory"
     );
-}
-
-/// A strided miss stream against a deliberately tiny contended
-/// hierarchy: every classic-model snapshot guarantee must carry over,
-/// including restoring mid-flight with non-empty MSHRs.
-#[test]
-fn contended_model_checkpoints_restore_identically_with_inflight_misses() {
-    use redsoc_mem::{ContendedConfig, MemModelConfig};
-    // Bursts of a pointer-chase pair plus independent fillers, all
-    // missing (64-byte stride over 1 MiB). The chased load becomes
-    // ready only after its producer load completes — by which time
-    // the out-of-order fillers (including the next burst's) have
-    // filled the tiny MSHR file — so it is rejected *while at the
-    // ROB head*, exercising the Mshr stall bucket, not just the
-    // reject counter.
-    let mut trace: Vec<DynOp> = Vec::new();
-    let addr = |i: u64| u32::try_from((i * 64) % (1 << 20)).expect("fits");
-    let mut seq = 0u64;
-    for burst in 0..800u64 {
-        let producer = {
-            let mut d = load_op(seq, (seq % 64) as u32 * 4, addr(burst * 6));
-            d.instr = Instr::Load {
-                dst: ArchReg::int(2),
-                base: ArchReg::int(1),
-                offset: 0,
-                width: redsoc_isa::opcode::MemWidth::B4,
-            };
-            d
-        };
-        trace.push(producer);
-        seq += 1;
-        let chased = {
-            let mut d = load_op(seq, (seq % 64) as u32 * 4, addr(burst * 6 + 1));
-            d.instr = Instr::Load {
-                dst: ArchReg::int(5),
-                base: ArchReg::int(2), // depends on the producer's result
-                offset: 0,
-                width: redsoc_isa::opcode::MemWidth::B4,
-            };
-            d
-        };
-        trace.push(chased);
-        seq += 1;
-        for k in 2..6u64 {
-            trace.push(load_op(seq, (seq % 64) as u32 * 4, addr(burst * 6 + k)));
-            seq += 1;
-        }
-    }
-    trace.push(DynOp::simple(seq, 0, Instr::Halt));
-
-    let config = CoreConfig::big()
-        .with_sched(SchedulerConfig::redsoc())
-        .with_mem_model(MemModelConfig::Contended(ContendedConfig {
-            mshrs: 2,
-            l1_ports: 1,
-            l2_ports: 1,
-            dram_interval: 16,
-        }));
-
-    let full = Simulator::new(config.clone())
-        .expect("valid config")
-        .run(trace.iter().copied())
-        .expect("plain run");
-    assert_eq!(
-        full.stalls.total(),
-        full.cycles,
-        "stall partition must hold under the contended model"
-    );
-    assert!(
-        full.mem_contention.mshr_rejects > 0,
-        "the tiny MSHR file must actually reject: {:?}",
-        full.mem_contention
-    );
-    assert!(
-        full.stalls.count(StallCause::Mshr) > 0,
-        "rejected head loads must be attributed to the Mshr bucket"
-    );
-
-    let mut snaps: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut save = |cycle: u64, blob: Vec<u8>| snaps.push((cycle, blob));
-    let checkpointed = Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(512, &mut save),
-        )
-        .expect("checkpointed run");
-    assert_eq!(full, checkpointed, "checkpointing must not perturb the run");
-
-    // Find a checkpoint taken while misses were outstanding — the
-    // MSHR file round-trips through the snapshot, so the restored
-    // model must report the same in-flight count and the resumed run
-    // must finish identically.
-    let mut restored_with_inflight = 0;
-    for (cycle, blob) in &snaps {
-        let (sim, cursor) = Simulator::restore(config.clone(), blob, &trace).expect("restore");
-        assert_eq!(sim.state.cycle, *cycle);
-        if sim.state.memory.inflight(*cycle) == 0 {
-            continue;
-        }
-        restored_with_inflight += 1;
-        let resumed = sim
-            .run(
-                trace[usize::try_from(cursor).expect("cursor fits")..]
-                    .iter()
-                    .copied(),
-            )
-            .expect("resumed run");
-        assert_eq!(full, resumed, "mid-flight restore diverged at {cycle}");
-        if restored_with_inflight >= 3 {
-            break;
-        }
-    }
-    assert!(
-        restored_with_inflight > 0,
-        "no checkpoint caught the MSHRs non-empty — the property was never exercised"
-    );
-}
-
-#[test]
-fn restore_rejects_mismatched_config_and_corruption() {
-    let trace = logic_chain_trace(4_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-    let sim = Simulator::new(config.clone()).expect("valid config");
-    let blob = sim.snapshot();
-
-    // Different scheduler mode → different config digest.
-    let other = CoreConfig::big().with_sched(SchedulerConfig::baseline());
-    assert_eq!(
-        Simulator::restore(other, &blob, &trace).err(),
-        Some(snapshot::SnapshotError::ConfigMismatch)
-    );
-
-    // A flipped byte fails the integrity digest.
-    let mut torn = blob.clone();
-    let mid = torn.len() / 2;
-    torn[mid] ^= 0x10;
-    assert_eq!(
-        Simulator::restore(config.clone(), &torn, &trace).err(),
-        Some(snapshot::SnapshotError::DigestMismatch)
-    );
-
-    // A truncated blob never parses.
-    assert!(Simulator::restore(config.clone(), &blob[..blob.len() / 2], &trace).is_err());
-
-    // Not a snapshot at all.
-    assert_eq!(
-        Simulator::restore(config, b"definitely not a snapshot", &trace).err(),
-        Some(snapshot::SnapshotError::BadMagic)
-    );
-}
-
-#[test]
-fn restore_rejects_a_foreign_trace() {
-    let trace = logic_chain_trace(6_000);
-    let config = CoreConfig::big().with_sched(SchedulerConfig::redsoc());
-    let mut snaps: Vec<Vec<u8>> = Vec::new();
-    let mut save = |_cycle: u64, blob: Vec<u8>| snaps.push(blob);
-    Simulator::new(config.clone())
-        .expect("valid config")
-        .run_events_checkpointed(
-            trace.iter().copied(),
-            &mut NullSink,
-            CheckpointPlan::new(1024, &mut save),
-        )
-        .expect("checkpointed run");
-    let blob = snaps.first().expect("at least one checkpoint");
-    // A shorter trace cannot rehydrate the in-flight window.
-    let short = logic_chain_trace(10);
-    assert!(matches!(
-        Simulator::restore(config, blob, &short).err(),
-        Some(snapshot::SnapshotError::TraceMismatch { .. })
-    ));
 }
 
 #[test]

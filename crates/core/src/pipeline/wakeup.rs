@@ -122,49 +122,6 @@ impl WakeupState {
             granted: Vec::new(),
         }
     }
-
-    /// Export the persistent wakeup state — ready sets, every wheel slot
-    /// (by index), and the far map — for snapshotting. The per-cycle
-    /// scratch buffers (`requests`, `granted`) are logically empty
-    /// between cycles, which is the only point a snapshot is taken; they
-    /// are excluded and restore empty.
-    pub(crate) fn export_state(&self) -> WakeupSnapshot {
-        debug_assert!(self.granted.is_empty(), "snapshot mid-issue");
-        WakeupSnapshot {
-            ready: self.ready.clone(),
-            wheel: self.wheel.clone(),
-            far: self.far.iter().map(|(&k, v)| (k, v.clone())).collect(),
-        }
-    }
-
-    /// Restore state captured by `export_state`. Scratch buffers restore
-    /// empty. Fails if the wheel slot count differs (a snapshot from a
-    /// build with a different `WHEEL_SLOTS`).
-    pub(crate) fn import_state(&mut self, snap: WakeupSnapshot) -> Result<(), String> {
-        if snap.wheel.len() != self.wheel.len() {
-            return Err(format!(
-                "timer wheel mismatch: snapshot has {} slots, build uses {}",
-                snap.wheel.len(),
-                self.wheel.len()
-            ));
-        }
-        self.ready = snap.ready;
-        self.wheel = snap.wheel;
-        self.far = snap.far.into_iter().collect();
-        for r in &mut self.requests {
-            r.clear();
-        }
-        self.granted.clear();
-        Ok(())
-    }
-}
-
-/// Serialized image of [`WakeupState`] (crate-internal snapshot plumbing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WakeupSnapshot {
-    pub(crate) ready: [Vec<u64>; 4],
-    pub(crate) wheel: Vec<Vec<u64>>,
-    pub(crate) far: Vec<(u64, Vec<u64>)>,
 }
 
 impl PipelineState {

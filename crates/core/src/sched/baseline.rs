@@ -12,10 +12,6 @@ use super::Scheduler;
 /// `src_sel_ready` at the current cycle — pure and monotone, exactly the
 /// event set (source issue broadcasts) the pipeline subscribes to.
 /// Contract satisfied.
-///
-/// Snapshot audit: a unit struct with no fields — nothing mutates after
-/// construction, so the default empty [`Scheduler::snapshot`] blob is
-/// complete. Contract satisfied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BaselineScheduler;
 

@@ -253,26 +253,22 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
         let _ = (x, cycle);
     }
 
-    /// Serialize scheduler-private mutable state for a pipeline snapshot.
+    /// Serialize scheduler-private mutable state.
     ///
-    /// **Contract:** everything the scheduler reads in later cycles that
-    /// is *not* reconstructible from its configuration and the serialized
-    /// [`PipelineState`] must round-trip through this pair of hooks —
-    /// otherwise a restored run diverges from the uninterrupted one. The
-    /// default returns an empty blob, correct for any stateless policy
-    /// (all four in-tree schedulers are stateless: their fields are
-    /// config-derived and never mutated; predictor tables live in
-    /// `PipelineState` — audit notes in each module).
+    /// The simulator never calls this hook or [`Scheduler::restore`]:
+    /// crash recovery is job-granular (a sweep journal re-runs an
+    /// interrupted cell from cycle 0), so no pipeline state is ever
+    /// saved mid-run. The pair stays in the trait so existing
+    /// implementations keep compiling. The default returns an empty blob.
     fn snapshot(&self) -> Vec<u8> {
         Vec::new()
     }
 
     /// Restore scheduler-private state captured by [`Scheduler::snapshot`].
+    /// Unused by the simulator, like `snapshot`.
     ///
     /// The default accepts only the empty blob its `snapshot` default
-    /// produces, so a stateful scheduler that overrides one hook without
-    /// the other fails loudly instead of resuming with silently reset
-    /// state.
+    /// produces.
     ///
     /// # Errors
     ///

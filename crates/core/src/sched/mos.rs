@@ -22,11 +22,6 @@ use super::{FusedIssue, Scheduler};
 /// fusion pass runs in `post_issue`, outside the wakeup contract; fused
 /// consumers are marked issued immediately, so they can never appear in a
 /// later ready set. Contract satisfied.
-///
-/// Snapshot audit: a unit struct with no fields — fusion decisions are
-/// recomputed each cycle from the in-flight window, which the pipeline
-/// snapshot serializes; the default empty [`Scheduler::snapshot`] blob is
-/// complete. Contract satisfied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MosScheduler;
 

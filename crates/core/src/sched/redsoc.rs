@@ -30,14 +30,6 @@ use super::{ExecTiming, IssueArgs, Scheduler, SelectRequest};
 ///   parent's CI must fall within `threshold_ticks` of the cycle start;
 /// - **CI-resolution completion timing** with width-prediction validation
 ///   at execute and two-cycle FU holds for boundary-crossing evaluations.
-///
-/// Snapshot audit: every field is captured once in `from_config` and
-/// never mutated afterwards (`invert_select` additionally reads the
-/// `REDSOC_TEST_INVERT_SKEW` environment variable, which a resuming
-/// process re-reads identically); the predictor tables the policy
-/// consults live in `PipelineState` and are serialized there. The
-/// default empty [`Scheduler::snapshot`] blob is complete. Contract
-/// satisfied.
 #[derive(Debug, Clone, Copy)]
 pub struct RedsocScheduler {
     egpw: bool,

@@ -35,12 +35,6 @@ use super::Scheduler;
 /// Wakeup purity audit: no `wakeup` override — inherits the default
 /// all-operands wakeup, whose purity is audited in
 /// [`baseline`](super::baseline). Contract satisfied.
-///
-/// Snapshot audit: a unit struct with no fields. The TS-specific state
-/// (rescaled memory latencies, chosen clock) lives entirely in the
-/// `CoreConfig` the run was built with, which the snapshot's config
-/// digest covers; the default empty [`Scheduler::snapshot`] blob is
-/// complete. Contract satisfied.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TsScheduler;
 

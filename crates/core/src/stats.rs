@@ -121,16 +121,6 @@ impl OpMix {
             self.count(cat) as f64 / t as f64
         }
     }
-
-    /// The raw category histogram, for snapshotting.
-    pub(crate) fn export_counts(&self) -> &BTreeMap<OpCategory, u64> {
-        &self.counts
-    }
-
-    /// Rebuild a histogram from exported counts.
-    pub(crate) fn from_counts(counts: BTreeMap<OpCategory, u64>) -> Self {
-        OpMix { counts }
-    }
 }
 
 /// Transparent-sequence length statistics (Fig. 11).
@@ -191,12 +181,6 @@ impl ChainStats {
     #[must_use]
     pub fn histogram(&self) -> &BTreeMap<u32, u64> {
         &self.lengths
-    }
-
-    /// Rebuild chain statistics from an exported histogram (see
-    /// [`ChainStats::histogram`]).
-    pub(crate) fn from_histogram(lengths: BTreeMap<u32, u64>) -> Self {
-        ChainStats { lengths }
     }
 }
 

@@ -163,42 +163,6 @@ impl TagPredictor {
     pub fn stats(&self) -> TagPredStats {
         self.stats
     }
-
-    /// Table contents as `(last_is_src1, conf)` pairs plus stats, for
-    /// snapshotting.
-    pub(crate) fn export_state(&self) -> (Vec<(bool, u8)>, TagPredStats) {
-        (
-            self.entries
-                .iter()
-                .map(|e| (e.last_is_src1, e.conf))
-                .collect(),
-            self.stats,
-        )
-    }
-
-    /// Restore state captured by `export_state`. Fails on a table-size or
-    /// confidence-range mismatch.
-    pub(crate) fn import_state(
-        &mut self,
-        entries: &[(bool, u8)],
-        stats: TagPredStats,
-    ) -> Result<(), String> {
-        if entries.len() != self.entries.len() {
-            return Err(format!(
-                "tag-predictor table mismatch: snapshot has {} entries, table holds {}",
-                entries.len(),
-                self.entries.len()
-            ));
-        }
-        for (dst, &(last_is_src1, conf)) in self.entries.iter_mut().zip(entries) {
-            if conf > CONF_MAX {
-                return Err(format!("confidence {conf} exceeds max {CONF_MAX}"));
-            }
-            *dst = Entry { last_is_src1, conf };
-        }
-        self.stats = stats;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -173,33 +173,6 @@ impl CacheStats {
     }
 }
 
-/// Serialized image of one cache way, as exported by
-/// [`Cache::export_state`]. All fields are plain integers so callers can
-/// encode them in any fixed-width format.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LineState {
-    /// Line holds a valid tag.
-    pub valid: bool,
-    /// Line has been written since fill.
-    pub dirty: bool,
-    /// Tag bits (line address divided by set count).
-    pub tag: u64,
-    /// LRU timestamp: larger = more recently used.
-    pub lru: u64,
-}
-
-/// Full mutable state of a [`Cache`], sufficient to rebuild an identical
-/// cache (given the same [`CacheConfig`]) via [`Cache::import_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheState {
-    /// Every way of every set, in set-major order (`sets × ways` lines).
-    pub lines: Vec<LineState>,
-    /// The LRU clock.
-    pub tick: u64,
-    /// Accumulated statistics.
-    pub stats: CacheStats,
-}
-
 /// A set-associative cache (tags only) with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -341,53 +314,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Export the full mutable state (tag array, LRU clock, stats) for
-    /// snapshotting. Round-trips exactly through [`Cache::import_state`].
-    #[must_use]
-    pub fn export_state(&self) -> CacheState {
-        CacheState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| LineState {
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    tag: l.tag,
-                    lru: l.lru,
-                })
-                .collect(),
-            tick: self.tick,
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state previously captured by [`Cache::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the line count does not match this cache's geometry — the
-    /// snapshot was taken under a different [`CacheConfig`].
-    pub fn import_state(&mut self, state: &CacheState) -> Result<(), String> {
-        if state.lines.len() != self.lines.len() {
-            return Err(format!(
-                "cache geometry mismatch: snapshot has {} lines, config needs {}",
-                state.lines.len(),
-                self.lines.len()
-            ));
-        }
-        for (dst, src) in self.lines.iter_mut().zip(&state.lines) {
-            *dst = Line {
-                valid: src.valid,
-                dirty: src.dirty,
-                tag: src.tag,
-                lru: src.lru,
-            };
-        }
-        self.tick = state.tick;
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -461,30 +387,6 @@ mod tests {
     fn probe_is_side_effect_free() {
         let c = tiny();
         assert!(!c.probe(0x123));
-    }
-
-    #[test]
-    fn state_round_trips() {
-        let mut c = tiny();
-        c.access(0x000, true);
-        c.access(0x040, false);
-        c.access(0x080, false);
-        c.prefetch_fill(0x200);
-        let state = c.export_state();
-        let mut fresh = tiny();
-        fresh.import_state(&state).unwrap();
-        assert_eq!(fresh.export_state(), state);
-        // Identical future behaviour: same hit/miss stream.
-        assert_eq!(c.access(0x040, false), fresh.access(0x040, false));
-        assert_eq!(c.access(0x300, true), fresh.access(0x300, true));
-        assert_eq!(c.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn import_rejects_wrong_geometry() {
-        let state = tiny().export_state();
-        let mut big = Cache::new(CacheConfig::l1_64k());
-        assert!(big.import_state(&state).is_err());
     }
 
     #[test]

@@ -26,19 +26,14 @@
 //! are never rejected (they consume port and DRAM bandwidth but no
 //! MSHR); prefetch fills are free. Requests arrive with non-decreasing
 //! `t`, so ports and the DRAM queue keep *rolling schedules* (a cursor
-//! plus a use count) instead of a global event queue — this is what
-//! makes snapshots small and exact.
+//! plus a use count) instead of a global event queue.
 //!
 //! [`StallCause::Mshr`]: MemResponse
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::hierarchy::{AccessOutcome, HierarchyStats, MemLatencies};
-use crate::model::{
-    decode_cache_state, decode_outcome, decode_prefetch_state, encode_cache_state, encode_outcome,
-    encode_prefetch_state, ContentionStats, MemReject, MemResponse, MemoryModel, TAG_CONTENDED,
-};
+use crate::model::{ContentionStats, MemReject, MemResponse, MemoryModel};
 use crate::prefetch::StridePrefetcher;
-use crate::wire::{WireReader, WireWriter};
 
 /// Structural-hazard limits for [`ContendedHierarchy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,106 +295,6 @@ impl MemoryModel for ContendedHierarchy {
     fn inflight(&self, t: u64) -> usize {
         self.mshrs.iter().filter(|m| m.ready_at > t).count()
     }
-
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(TAG_CONTENDED);
-        encode_cache_state(&mut w, &self.l1.export_state());
-        encode_cache_state(&mut w, &self.l2.export_state());
-        match &self.prefetcher {
-            Some(pf) => {
-                w.bool(true);
-                encode_prefetch_state(&mut w, &pf.export_state());
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.stats.l1_hits);
-        w.u64(self.stats.l2_hits);
-        w.u64(self.stats.mem_accesses);
-        w.u64(self.contention.mshr_rejects);
-        w.u64(self.contention.mshr_merges);
-        w.u64(self.contention.port_wait_cycles);
-        w.u64(self.contention.dram_wait_cycles);
-        w.u32(self.mshrs.len() as u32);
-        for m in &self.mshrs {
-            w.u64(m.line_addr);
-            w.u64(m.ready_at);
-            encode_outcome(&mut w, m.outcome);
-        }
-        w.u64(self.l1_port.cycle);
-        w.u32(self.l1_port.used);
-        w.u64(self.l2_port.cycle);
-        w.u32(self.l2_port.used);
-        w.u64(self.dram_next_free);
-        w.finish()
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(blob);
-        let tag = r.u8()?;
-        if tag != TAG_CONTENDED {
-            return Err(format!("snapshot model tag {tag} is not contended"));
-        }
-        let l1 = decode_cache_state(&mut r)?;
-        let l2 = decode_cache_state(&mut r)?;
-        let pf = if r.bool()? {
-            Some(decode_prefetch_state(&mut r)?)
-        } else {
-            None
-        };
-        let stats = HierarchyStats {
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            mem_accesses: r.u64()?,
-        };
-        let contention = ContentionStats {
-            mshr_rejects: r.u64()?,
-            mshr_merges: r.u64()?,
-            port_wait_cycles: r.u64()?,
-            dram_wait_cycles: r.u64()?,
-        };
-        let n = r.u32()? as usize;
-        if n > self.config.mshrs as usize {
-            return Err(format!(
-                "snapshot holds {n} MSHRs, config allows {}",
-                self.config.mshrs
-            ));
-        }
-        let mut mshrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            mshrs.push(Mshr {
-                line_addr: r.u64()?,
-                ready_at: r.u64()?,
-                outcome: decode_outcome(&mut r)?,
-            });
-        }
-        let l1_port = PortState {
-            cycle: r.u64()?,
-            used: r.u32()?,
-        };
-        let l2_port = PortState {
-            cycle: r.u64()?,
-            used: r.u32()?,
-        };
-        let dram_next_free = r.u64()?;
-        r.expect_end()?;
-        self.l1.import_state(&l1).map_err(|e| format!("l1: {e}"))?;
-        self.l2.import_state(&l2).map_err(|e| format!("l2: {e}"))?;
-        match (&mut self.prefetcher, &pf) {
-            (Some(dst), Some(src)) => dst
-                .import_state(src)
-                .map_err(|e| format!("prefetcher: {e}"))?,
-            (None, None) => {}
-            _ => return Err("prefetcher presence mismatch".to_owned()),
-        }
-        self.stats = stats;
-        self.contention = contention;
-        self.mshrs = mshrs;
-        self.l1_port = l1_port;
-        self.l2_port = l2_port;
-        self.dram_next_free = dram_next_free;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -524,76 +419,5 @@ mod tests {
             .expect("stores go through the write buffer");
         assert_eq!(st.outcome, AccessOutcome::Memory);
         assert_eq!(h.inflight(11), 1, "stores do not allocate MSHRs");
-    }
-
-    #[test]
-    fn snapshot_round_trips_mid_flight() {
-        let mut h = small(ContendedConfig {
-            mshrs: 4,
-            ..ContendedConfig::default()
-        });
-        h.request(0, 0x40, 0x1000, false, 10).unwrap();
-        h.request(1, 0x44, 0x8000, false, 11).unwrap();
-        assert_eq!(h.inflight(11), 2, "misses in flight at capture");
-        let blob = h.snapshot();
-        let mut fresh = small(ContendedConfig {
-            mshrs: 4,
-            ..ContendedConfig::default()
-        });
-        fresh.restore(&blob).unwrap();
-        assert_eq!(fresh.snapshot(), blob);
-        assert_eq!(fresh.inflight(11), 2);
-        // Identical future: merge behaviour, rejects, and port waits.
-        for (seq, addr, t) in [(2u64, 0x1008u64, 12u64), (3, 0x8040, 13), (4, 0x0, 14)] {
-            assert_eq!(
-                h.request(seq, 0x48, addr, false, t),
-                fresh.request(seq, 0x48, addr, false, t)
-            );
-        }
-        assert_eq!(h.stats(), fresh.stats());
-        assert_eq!(h.contention(), fresh.contention());
-    }
-
-    #[test]
-    fn restore_rejects_foreign_blob_and_overfull_mshrs() {
-        let classic_blob = crate::model::ClassicHierarchy::paper_default().snapshot();
-        let mut h = small(ContendedConfig::default());
-        assert!(h.restore(&classic_blob).is_err());
-
-        let mut big = small(ContendedConfig {
-            mshrs: 8,
-            ..ContendedConfig::default()
-        });
-        big.request(0, 0x40, 0x0000, false, 0).unwrap();
-        big.request(1, 0x40, 0x8000, false, 1).unwrap();
-        let blob = big.snapshot();
-        let mut tiny = small(ContendedConfig {
-            mshrs: 1,
-            ..ContendedConfig::default()
-        });
-        assert!(
-            tiny.restore(&blob).is_err(),
-            "blob with 2 in-flight MSHRs cannot restore into a 1-MSHR config"
-        );
-    }
-
-    #[test]
-    fn prefetcher_presence_round_trips() {
-        let mut with_pf = ContendedHierarchy::new(
-            ContendedConfig::default(),
-            CacheConfig::l1_64k(),
-            CacheConfig::l2_2m(),
-            MemLatencies::default(),
-            true,
-        );
-        for i in 0..8u64 {
-            with_pf.request(i, 0x40, i * 64, false, i).unwrap();
-        }
-        let blob = with_pf.snapshot();
-        let mut no_pf = small(ContendedConfig::default());
-        assert!(
-            no_pf.restore(&blob).is_err(),
-            "prefetcher presence mismatch"
-        );
     }
 }

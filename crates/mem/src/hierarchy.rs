@@ -1,8 +1,8 @@
 //! Two-level cache hierarchy with DRAM backing (Table I: 64 kB L1 / 2 MB
 //! L2 with prefetch).
 
-use crate::cache::{Cache, CacheConfig, CacheState, CacheStats};
-use crate::prefetch::{PrefetchState, StridePrefetcher};
+use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::prefetch::StridePrefetcher;
 
 /// Where a memory access was serviced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,21 +64,6 @@ pub struct HierarchyStats {
     pub l2_hits: u64,
     /// DRAM accesses.
     pub mem_accesses: u64,
-}
-
-/// Full mutable state of a [`MemoryHierarchy`], restorable via
-/// [`MemoryHierarchy::import_state`] on a hierarchy built with the same
-/// configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierarchyState {
-    /// The L1 tag array and stats.
-    pub l1: CacheState,
-    /// The L2 tag array and stats.
-    pub l2: CacheState,
-    /// The prefetcher table, if the hierarchy has one.
-    pub prefetcher: Option<PrefetchState>,
-    /// Hierarchy-wide statistics.
-    pub stats: HierarchyStats,
 }
 
 /// A two-level data-cache hierarchy with a stride prefetcher trained on the
@@ -173,41 +158,6 @@ impl MemoryHierarchy {
     pub fn latencies(&self) -> MemLatencies {
         self.latencies
     }
-
-    /// Export the full mutable state (both tag arrays, the prefetcher
-    /// table, all stats) for snapshotting.
-    #[must_use]
-    pub fn export_state(&self) -> HierarchyState {
-        HierarchyState {
-            l1: self.l1.export_state(),
-            l2: self.l2.export_state(),
-            prefetcher: self.prefetcher.as_ref().map(StridePrefetcher::export_state),
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state previously captured by
-    /// [`MemoryHierarchy::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if cache geometry, prefetcher presence, or table sizes do
-    /// not match this hierarchy's configuration.
-    pub fn import_state(&mut self, state: &HierarchyState) -> Result<(), String> {
-        self.l1
-            .import_state(&state.l1)
-            .map_err(|e| format!("l1: {e}"))?;
-        self.l2
-            .import_state(&state.l2)
-            .map_err(|e| format!("l2: {e}"))?;
-        match (&mut self.prefetcher, &state.prefetcher) {
-            (Some(pf), Some(s)) => pf.import_state(s).map_err(|e| format!("prefetcher: {e}"))?,
-            (None, None) => {}
-            _ => return Err("prefetcher presence mismatch".to_owned()),
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
 impl Default for MemoryHierarchy {
@@ -276,40 +226,6 @@ mod tests {
         assert!(!AccessOutcome::L1Hit.is_high_latency());
         assert!(AccessOutcome::L2Hit.is_high_latency());
         assert!(AccessOutcome::Memory.is_high_latency());
-    }
-
-    #[test]
-    fn state_round_trips_with_identical_future() {
-        let mut h = MemoryHierarchy::paper_default();
-        for i in 0..64u64 {
-            h.access(0x40, i * 64, false);
-        }
-        h.access(0x80, 0x9000, true);
-        let state = h.export_state();
-        let mut fresh = MemoryHierarchy::paper_default();
-        fresh.import_state(&state).unwrap();
-        assert_eq!(fresh.export_state(), state);
-        for i in 64..96u64 {
-            assert_eq!(
-                h.access(0x40, i * 64, false),
-                fresh.access(0x40, i * 64, false)
-            );
-        }
-        assert_eq!(h.stats(), fresh.stats());
-        assert_eq!(h.l1_stats(), fresh.l1_stats());
-        assert_eq!(h.l2_stats(), fresh.l2_stats());
-    }
-
-    #[test]
-    fn import_rejects_prefetcher_mismatch() {
-        let state = MemoryHierarchy::paper_default().export_state();
-        let mut no_pf = MemoryHierarchy::new(
-            CacheConfig::l1_64k(),
-            CacheConfig::l2_2m(),
-            MemLatencies::default(),
-            false,
-        );
-        assert!(no_pf.import_state(&state).is_err());
     }
 
     #[test]

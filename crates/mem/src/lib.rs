@@ -32,17 +32,12 @@ pub mod contended;
 pub mod hierarchy;
 pub mod model;
 pub mod prefetch;
-pub mod wire;
 
-pub use cache::{Cache, CacheConfig, CacheConfigError, CacheState, CacheStats, LineState};
+pub use cache::{Cache, CacheConfig, CacheConfigError, CacheStats};
 pub use contended::{ContendedConfig, ContendedHierarchy};
-pub use hierarchy::{
-    AccessOutcome, AccessResult, HierarchyState, HierarchyStats, MemLatencies, MemoryHierarchy,
-};
+pub use hierarchy::{AccessOutcome, AccessResult, HierarchyStats, MemLatencies, MemoryHierarchy};
 pub use model::{
     build_memory_model, ClassicHierarchy, ContentionStats, MemModelConfig, MemReject, MemResponse,
     MemoryModel,
 };
-pub use prefetch::{
-    PrefetchEntryState, PrefetchState, PrefetchStats, PrefetchTargets, StridePrefetcher,
-};
+pub use prefetch::{PrefetchStats, PrefetchTargets, StridePrefetcher};

@@ -18,21 +18,16 @@
 //!   MSHRs with merge-on-same-line, finite L1/L2 access ports per cycle,
 //!   and a bandwidth-limited DRAM queue.
 //!
-//! The snapshot contract mirrors the scheduler trait's: a model exports
-//! its full mutable state as an opaque byte blob the pipeline snapshot
-//! embeds verbatim, and restores from the same blob on a model built with
-//! the same configuration. Requests arrive with non-decreasing `t`
+//! Requests arrive with non-decreasing `t`
 //! (the pipeline runs commit before issue inside one cycle), which is
 //! what lets the contended model keep rolling port/bandwidth schedules
 //! instead of a global event queue.
 
 use std::fmt;
 
-use crate::cache::{CacheConfig, CacheState, CacheStats};
+use crate::cache::{CacheConfig, CacheStats};
 use crate::contended::{ContendedConfig, ContendedHierarchy};
-use crate::hierarchy::{AccessOutcome, HierarchyState, HierarchyStats, MemLatencies};
-use crate::prefetch::{PrefetchEntryState, PrefetchState};
-use crate::wire::{WireReader, WireWriter};
+use crate::hierarchy::{AccessOutcome, HierarchyStats, MemLatencies};
 use crate::MemoryHierarchy;
 
 /// Which memory model a core is built with.
@@ -110,11 +105,11 @@ pub struct ContentionStats {
 
 /// A pluggable timing model for the data-memory subsystem.
 ///
-/// See the [module docs](self) for the request/response and snapshot
-/// contracts. `t` is the requesting cycle and is non-decreasing across
-/// calls; implementations may keep rolling schedules keyed on it.
+/// See the [module docs](self) for the request/response contract. `t`
+/// is the requesting cycle and is non-decreasing across calls;
+/// implementations may keep rolling schedules keyed on it.
 pub trait MemoryModel: fmt::Debug + Send {
-    /// Stable label for events, snapshots, and reports.
+    /// Stable label for events and reports.
     fn name(&self) -> &'static str;
 
     /// Request service for instruction `seq` (PC `pc`) touching `addr` at
@@ -149,19 +144,6 @@ pub trait MemoryModel: fmt::Debug + Send {
 
     /// Number of misses still outstanding at cycle `t`.
     fn inflight(&self, t: u64) -> usize;
-
-    /// Export the model's full mutable state as an opaque blob.
-    fn snapshot(&self) -> Vec<u8>;
-
-    /// Restore state captured by [`MemoryModel::snapshot`] on a model
-    /// built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a description if the blob belongs to a different model,
-    /// geometry, or is corrupt; the model must be left unchanged or the
-    /// caller must discard it (the pipeline restore path discards).
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String>;
 }
 
 /// Build the configured memory model over the given cache geometry.
@@ -182,140 +164,6 @@ pub fn build_memory_model(
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Snapshot blob helpers shared by both models.
-
-/// Model tag byte leading every snapshot blob.
-pub(crate) const TAG_CLASSIC: u8 = 1;
-/// Tag for [`ContendedHierarchy`](crate::contended::ContendedHierarchy).
-pub(crate) const TAG_CONTENDED: u8 = 2;
-
-pub(crate) fn encode_cache_state(w: &mut WireWriter, s: &CacheState) {
-    w.u32(s.lines.len() as u32);
-    for l in &s.lines {
-        w.bool(l.valid);
-        w.bool(l.dirty);
-        w.u64(l.tag);
-        w.u64(l.lru);
-    }
-    w.u64(s.tick);
-    w.u64(s.stats.accesses);
-    w.u64(s.stats.misses);
-    w.u64(s.stats.prefetch_fills);
-    w.u64(s.stats.writebacks);
-}
-
-pub(crate) fn decode_cache_state(r: &mut WireReader<'_>) -> Result<CacheState, String> {
-    let n = r.u32()? as usize;
-    let mut lines = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        lines.push(crate::cache::LineState {
-            valid: r.bool()?,
-            dirty: r.bool()?,
-            tag: r.u64()?,
-            lru: r.u64()?,
-        });
-    }
-    Ok(CacheState {
-        lines,
-        tick: r.u64()?,
-        stats: CacheStats {
-            accesses: r.u64()?,
-            misses: r.u64()?,
-            prefetch_fills: r.u64()?,
-            writebacks: r.u64()?,
-        },
-    })
-}
-
-pub(crate) fn encode_prefetch_state(w: &mut WireWriter, s: &PrefetchState) {
-    w.u32(s.entries.len() as u32);
-    for e in &s.entries {
-        w.bool(e.valid);
-        w.u32(e.pc_tag);
-        w.u64(e.last_addr);
-        w.i64(e.stride);
-        w.u8(e.state);
-    }
-    w.u64(s.stats.trains);
-    w.u64(s.stats.issued);
-}
-
-pub(crate) fn decode_prefetch_state(r: &mut WireReader<'_>) -> Result<PrefetchState, String> {
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        entries.push(PrefetchEntryState {
-            valid: r.bool()?,
-            pc_tag: r.u32()?,
-            last_addr: r.u64()?,
-            stride: r.i64()?,
-            state: r.u8()?,
-        });
-    }
-    Ok(PrefetchState {
-        entries,
-        stats: crate::prefetch::PrefetchStats {
-            trains: r.u64()?,
-            issued: r.u64()?,
-        },
-    })
-}
-
-pub(crate) fn encode_hierarchy_state(w: &mut WireWriter, s: &HierarchyState) {
-    encode_cache_state(w, &s.l1);
-    encode_cache_state(w, &s.l2);
-    match &s.prefetcher {
-        Some(pf) => {
-            w.bool(true);
-            encode_prefetch_state(w, pf);
-        }
-        None => w.bool(false),
-    }
-    w.u64(s.stats.l1_hits);
-    w.u64(s.stats.l2_hits);
-    w.u64(s.stats.mem_accesses);
-}
-
-pub(crate) fn decode_hierarchy_state(r: &mut WireReader<'_>) -> Result<HierarchyState, String> {
-    let l1 = decode_cache_state(r)?;
-    let l2 = decode_cache_state(r)?;
-    let prefetcher = if r.bool()? {
-        Some(decode_prefetch_state(r)?)
-    } else {
-        None
-    };
-    Ok(HierarchyState {
-        l1,
-        l2,
-        prefetcher,
-        stats: HierarchyStats {
-            l1_hits: r.u64()?,
-            l2_hits: r.u64()?,
-            mem_accesses: r.u64()?,
-        },
-    })
-}
-
-pub(crate) fn encode_outcome(w: &mut WireWriter, o: AccessOutcome) {
-    w.u8(match o {
-        AccessOutcome::L1Hit => 0,
-        AccessOutcome::L2Hit => 1,
-        AccessOutcome::Memory => 2,
-    });
-}
-
-pub(crate) fn decode_outcome(r: &mut WireReader<'_>) -> Result<AccessOutcome, String> {
-    match r.u8()? {
-        0 => Ok(AccessOutcome::L1Hit),
-        1 => Ok(AccessOutcome::L2Hit),
-        2 => Ok(AccessOutcome::Memory),
-        other => Err(format!("bad access-outcome code {other}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 /// The fixed-latency memory port: wraps [`MemoryHierarchy`] behind the
 /// [`MemoryModel`] trait. Never rejects, never queues — every request is
@@ -383,24 +231,6 @@ impl MemoryModel for ClassicHierarchy {
     fn inflight(&self, _t: u64) -> usize {
         0
     }
-
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(TAG_CLASSIC);
-        encode_hierarchy_state(&mut w, &self.inner.export_state());
-        w.finish()
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(blob);
-        let tag = r.u8()?;
-        if tag != TAG_CLASSIC {
-            return Err(format!("snapshot model tag {tag} is not classic"));
-        }
-        let state = decode_hierarchy_state(&mut r)?;
-        r.expect_end()?;
-        self.inner.import_state(&state)
-    }
 }
 
 #[cfg(test)]
@@ -425,34 +255,6 @@ mod tests {
         assert_eq!(port.stats(), raw.stats());
         assert_eq!(port.contention(), ContentionStats::default());
         assert_eq!(port.inflight(999), 0);
-    }
-
-    #[test]
-    fn classic_snapshot_round_trips() {
-        let mut port = ClassicHierarchy::paper_default();
-        for i in 0..128u64 {
-            port.request(i, 0x40, i * 64, false, i).unwrap();
-        }
-        let blob = port.snapshot();
-        let mut fresh = ClassicHierarchy::paper_default();
-        fresh.restore(&blob).unwrap();
-        assert_eq!(fresh.snapshot(), blob);
-        // Identical future behaviour.
-        for i in 128..160u64 {
-            assert_eq!(
-                port.request(i, 0x40, i * 64, false, i),
-                fresh.request(i, 0x40, i * 64, false, i)
-            );
-        }
-    }
-
-    #[test]
-    fn classic_restore_rejects_foreign_tag() {
-        let mut w = WireWriter::new();
-        w.u8(TAG_CONTENDED);
-        let blob = w.finish();
-        let mut port = ClassicHierarchy::paper_default();
-        assert!(port.restore(&blob).is_err());
     }
 
     #[test]

@@ -43,33 +43,6 @@ pub struct PrefetchStats {
     pub issued: u64,
 }
 
-/// Serialized image of one prefetcher table slot, as exported by
-/// [`StridePrefetcher::export_state`]. The training state is encoded as an
-/// integer (0 = initial, 1 = transient, 2 = steady).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchEntryState {
-    /// Slot holds a trained PC.
-    pub valid: bool,
-    /// Full PC of the owning load.
-    pub pc_tag: u32,
-    /// Last address observed for this PC.
-    pub last_addr: u64,
-    /// Last stride observed (signed).
-    pub stride: i64,
-    /// Training state code: 0 initial, 1 transient, 2 steady.
-    pub state: u8,
-}
-
-/// Full mutable state of a [`StridePrefetcher`], restorable via
-/// [`StridePrefetcher::import_state`] on a prefetcher of the same shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefetchState {
-    /// Every table slot in index order.
-    pub entries: Vec<PrefetchEntryState>,
-    /// Accumulated statistics.
-    pub stats: PrefetchStats,
-}
-
 /// The prefetch addresses one training observation emits, in order:
 /// `addr + k * stride` for `k = 1..=degree`, skipping any below address
 /// 0. A plain iterator over integers, so training never touches the
@@ -177,63 +150,6 @@ impl StridePrefetcher {
     pub fn stats(&self) -> PrefetchStats {
         self.stats
     }
-
-    /// Export the full mutable state (table, stats) for snapshotting. The
-    /// prefetch degree is configuration, not state, and is not included.
-    #[must_use]
-    pub fn export_state(&self) -> PrefetchState {
-        PrefetchState {
-            entries: self
-                .entries
-                .iter()
-                .map(|e| PrefetchEntryState {
-                    valid: e.valid,
-                    pc_tag: e.pc_tag,
-                    last_addr: e.last_addr,
-                    stride: e.stride,
-                    state: match e.state {
-                        State::Initial => 0,
-                        State::Transient => 1,
-                        State::Steady => 2,
-                    },
-                })
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state previously captured by
-    /// [`StridePrefetcher::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the entry count does not match this table's size or a
-    /// state code is out of range.
-    pub fn import_state(&mut self, state: &PrefetchState) -> Result<(), String> {
-        if state.entries.len() != self.entries.len() {
-            return Err(format!(
-                "prefetcher table mismatch: snapshot has {} entries, table holds {}",
-                state.entries.len(),
-                self.entries.len()
-            ));
-        }
-        for (dst, src) in self.entries.iter_mut().zip(&state.entries) {
-            *dst = Entry {
-                valid: src.valid,
-                pc_tag: src.pc_tag,
-                last_addr: src.last_addr,
-                stride: src.stride,
-                state: match src.state {
-                    0 => State::Initial,
-                    1 => State::Transient,
-                    2 => State::Steady,
-                    other => return Err(format!("bad prefetch state code {other}")),
-                },
-            };
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -297,28 +213,6 @@ mod tests {
         p.train(0x44, 100_008);
         assert_eq!(fills(&mut p, 0x40, 128), vec![192]);
         assert_eq!(fills(&mut p, 0x44, 100_016), vec![100_024]);
-    }
-
-    #[test]
-    fn state_round_trips() {
-        let mut p = StridePrefetcher::new(16, 2);
-        p.train(0x40, 1000);
-        p.train(0x40, 1064);
-        p.train(0x44, 5);
-        let state = p.export_state();
-        let mut fresh = StridePrefetcher::new(16, 2);
-        fresh.import_state(&state).unwrap();
-        assert_eq!(fresh.export_state(), state);
-        // Both confirm the stride and emit identical prefetches.
-        assert_eq!(fills(&mut p, 0x40, 1128), fills(&mut fresh, 0x40, 1128));
-        assert_eq!(p.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn import_rejects_wrong_table_size() {
-        let state = StridePrefetcher::new(16, 2).export_state();
-        let mut big = StridePrefetcher::new(32, 2);
-        assert!(big.import_state(&state).is_err());
     }
 
     #[test]
@@ -474,23 +368,5 @@ mod tests {
                 assert_eq!(*a, 1128 + 64 * (k as u64 + 1));
             }
         }
-    }
-
-    #[test]
-    fn snapshot_round_trip_mid_training_preserves_future_stream() {
-        let mut p = StridePrefetcher::new(32, 3);
-        let mut rng = 7u64;
-        for i in 0..200 {
-            let pc = 0x40 + ((lcg(&mut rng) % 8) as u32) * 4;
-            p.train(pc, i * 8);
-        }
-        let state = p.export_state();
-        let mut resumed = StridePrefetcher::new(32, 3);
-        resumed.import_state(&state).unwrap();
-        for i in 200..260u64 {
-            let pc = 0x40 + ((i % 8) as u32) * 4;
-            assert_eq!(fills(&mut p, pc, i * 8), fills(&mut resumed, pc, i * 8));
-        }
-        assert_eq!(p.export_state(), resumed.export_state());
     }
 }

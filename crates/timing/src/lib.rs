@@ -46,7 +46,7 @@ pub mod slack;
 pub mod width_predictor;
 
 pub use optime::CYCLE_PS;
-pub use pvt::{PvtModel, PvtState};
+pub use pvt::PvtModel;
 pub use quant::Quant;
 pub use slack::{SlackBucket, SlackLut, WidthClass};
-pub use width_predictor::{WidthOutcome, WidthPredState, WidthPredictor};
+pub use width_predictor::{WidthOutcome, WidthPredictor};

@@ -15,25 +15,6 @@
 /// Recalibration epoch from Tribeca (cycles).
 pub const EPOCH_CYCLES: u64 = 10_000;
 
-/// Full state of a [`PvtModel`] — both the fixed walk parameters and the
-/// mutable walk position — as exported by [`PvtModel::export_state`].
-/// Restoring it reproduces the exact future guard-band sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PvtState {
-    /// Nominal guard band (ps).
-    pub nominal_ps: u32,
-    /// Walk bound (ps).
-    pub max_ps: u32,
-    /// Maximum per-epoch step (ps).
-    pub step_ps: u32,
-    /// xorshift64* generator state.
-    pub state: u64,
-    /// Epoch of the last recalibration (`u64::MAX` = never sampled).
-    pub current_epoch: u64,
-    /// Guard band currently in force (ps).
-    pub current_ps: u32,
-}
-
 /// A deterministic PVT guard-band generator.
 ///
 /// The guard band follows a bounded random walk: each epoch moves the value
@@ -109,34 +90,6 @@ impl PvtModel {
         }
         self.current_ps
     }
-
-    /// Export the complete model state for snapshotting.
-    #[must_use]
-    pub fn export_state(&self) -> PvtState {
-        PvtState {
-            nominal_ps: self.nominal_ps,
-            max_ps: self.max_ps,
-            step_ps: self.step_ps,
-            state: self.state,
-            current_epoch: self.current_epoch,
-            current_ps: self.current_ps,
-        }
-    }
-
-    /// Rebuild a model from state captured by [`PvtModel::export_state`].
-    /// The restored model produces the identical guard-band sequence the
-    /// original would have from that point on.
-    #[must_use]
-    pub fn import_state(state: PvtState) -> Self {
-        PvtModel {
-            nominal_ps: state.nominal_ps,
-            max_ps: state.max_ps,
-            step_ps: state.step_ps,
-            state: state.state,
-            current_epoch: state.current_epoch,
-            current_ps: state.current_ps,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,22 +124,6 @@ mod tests {
                 "step too large"
             );
             prev = g;
-        }
-    }
-
-    #[test]
-    fn state_round_trips_mid_walk() {
-        let mut m = PvtModel::nominal();
-        for e in 0..17u64 {
-            m.guard_band_ps(e * EPOCH_CYCLES);
-        }
-        let mut restored = PvtModel::import_state(m.export_state());
-        for e in 17..60u64 {
-            assert_eq!(
-                m.guard_band_ps(e * EPOCH_CYCLES),
-                restored.guard_band_ps(e * EPOCH_CYCLES),
-                "epoch {e}"
-            );
         }
     }
 

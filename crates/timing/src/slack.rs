@@ -80,18 +80,6 @@ impl WidthClass {
             WidthClass::W32 => 3,
         }
     }
-
-    /// Decode the 2-bit field encoding produced by [`WidthClass::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(WidthClass::W8),
-            1 => Some(WidthClass::W16),
-            2 => Some(WidthClass::W24),
-            3 => Some(WidthClass::W32),
-            _ => None,
-        }
-    }
 }
 
 /// A slack bucket: one of the paper's 14 operation classes.
@@ -275,19 +263,6 @@ impl SlackLut {
             *t = t.saturating_sub(guard_band_ps).max(1);
         }
         lut
-    }
-
-    /// The raw bucket compute times, indexed by
-    /// [`SlackBucket::index`] — for snapshotting a recalibrated LUT.
-    #[must_use]
-    pub fn raw(&self) -> [u32; NUM_BUCKETS] {
-        self.compute_ps
-    }
-
-    /// Rebuild a LUT from raw bucket times captured by [`SlackLut::raw`].
-    #[must_use]
-    pub fn from_raw(compute_ps: [u32; NUM_BUCKETS]) -> Self {
-        SlackLut { compute_ps }
     }
 }
 

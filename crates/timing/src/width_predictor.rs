@@ -74,18 +74,6 @@ struct Entry {
     conf: u8,
 }
 
-/// Full mutable state of a [`WidthPredictor`], restorable via
-/// [`WidthPredictor::import_state`] on a predictor of the same shape.
-/// Entries are `(width code, confidence)` pairs using
-/// [`WidthClass::code`](crate::slack::WidthClass::code) encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WidthPredState {
-    /// Every table slot as `(width code, confidence)`.
-    pub entries: Vec<(u8, u8)>,
-    /// Accumulated statistics.
-    pub stats: WidthPredictorStats,
-}
-
 /// The resetting-counter width predictor.
 ///
 /// ```
@@ -213,47 +201,6 @@ impl WidthPredictor {
         let bits_per_entry = 2 + (8 - self.conf_max.leading_zeros() as usize);
         self.entries.len() * bits_per_entry / 8
     }
-
-    /// Export the full mutable state (table + stats) for snapshotting.
-    /// `conf_max` is configuration, not state, and is not included.
-    #[must_use]
-    pub fn export_state(&self) -> WidthPredState {
-        WidthPredState {
-            entries: self
-                .entries
-                .iter()
-                .map(|e| (e.width.code(), e.conf))
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restore state previously captured by
-    /// [`WidthPredictor::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Fails if the entry count does not match this table's size or a
-    /// width code / confidence value is out of range.
-    pub fn import_state(&mut self, state: &WidthPredState) -> Result<(), String> {
-        if state.entries.len() != self.entries.len() {
-            return Err(format!(
-                "width-predictor table mismatch: snapshot has {} entries, table holds {}",
-                state.entries.len(),
-                self.entries.len()
-            ));
-        }
-        for (dst, &(code, conf)) in self.entries.iter_mut().zip(&state.entries) {
-            let width =
-                WidthClass::from_code(code).ok_or_else(|| format!("bad width code {code}"))?;
-            if conf > self.conf_max {
-                return Err(format!("confidence {conf} exceeds max {}", self.conf_max));
-            }
-            *dst = Entry { width, conf };
-        }
-        self.stats = state.stats;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -332,40 +279,6 @@ mod tests {
         }
         let s = p.stats();
         assert!(s.aggressive_rate() < 0.06, "rate {}", s.aggressive_rate());
-    }
-
-    #[test]
-    fn state_round_trips_with_identical_future() {
-        let mut p = WidthPredictor::new(64, 2);
-        for _ in 0..3 {
-            let pred = p.predict(4);
-            p.update(4, pred, WidthClass::W8);
-        }
-        let state = p.export_state();
-        let mut fresh = WidthPredictor::new(64, 2);
-        fresh.import_state(&state).unwrap();
-        assert_eq!(fresh.export_state(), state);
-        assert_eq!(p.predict(4), fresh.predict(4));
-        let pred = p.predict(4);
-        assert_eq!(
-            p.update(4, pred, WidthClass::W8),
-            fresh.update(4, pred, WidthClass::W8)
-        );
-        assert_eq!(p.predict(4), fresh.predict(4), "both now confident");
-        assert_eq!(p.stats(), fresh.stats());
-    }
-
-    #[test]
-    fn import_rejects_bad_shapes() {
-        let state = WidthPredictor::new(64, 2).export_state();
-        let mut wrong_size = WidthPredictor::new(128, 2);
-        assert!(wrong_size.import_state(&state).is_err());
-        let mut bad_code = state.clone();
-        bad_code.entries[0] = (9, 0);
-        assert!(WidthPredictor::new(64, 2).import_state(&bad_code).is_err());
-        let mut bad_conf = state;
-        bad_conf.entries[0] = (0, 200);
-        assert!(WidthPredictor::new(64, 2).import_state(&bad_conf).is_err());
     }
 
     #[test]

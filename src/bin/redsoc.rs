@@ -9,7 +9,6 @@
 //! redsoc sweep bzip2 --knob threshold
 //! redsoc bench --threads 8 --len 300000 --out BENCH_sweep.json
 //! redsoc bench --journal sweep.jnl --job-timeout 50000000
-//! redsoc bench --journal sweep.jnl --snapshot-interval 100000
 //! redsoc bench --resume sweep.jnl --out BENCH_sweep.json
 //! redsoc chaos --kills 5 --seed 1 --len 20000
 //! redsoc sweepcmp a_sweep.json b_sweep.json
@@ -448,7 +447,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "job-timeout",
             "max-retries",
             "backoff-ms",
-            "snapshot-interval",
             "mem-model",
             "isolation",
             "mem-limit-mb",
@@ -475,26 +473,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
     }
     sup.max_retries = flags.num("max-retries", sup.max_retries)?;
     sup.backoff_base = std::time::Duration::from_millis(flags.num("backoff-ms", 25u64)?);
-    if let Some(v) = flags.get("snapshot-interval") {
-        let cycles: u64 = v
-            .parse()
-            .map_err(|e| usage_err(format!("bad --snapshot-interval: {e}")))?;
-        if cycles == 0 {
-            return Err(usage_err(
-                "--snapshot-interval must be a positive cycle count",
-            ));
-        }
-        // Checkpoints live in the journal's sidecar directory; without a
-        // journal there is nowhere to put them, and silently ignoring the
-        // flag would defeat the crash-safety the caller asked for.
-        if flags.get("journal").is_none() && flags.get("resume").is_none() {
-            return Err(usage_err(
-                "--snapshot-interval requires --journal or --resume \
-                 (in-flight checkpoints are journaled)",
-            ));
-        }
-        sup.snapshot_interval = Some(cycles);
-    }
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
@@ -506,16 +484,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
             Isolation::Thread
         }
         "process" => {
-            // Mid-job snapshots are journal writes made from inside the
-            // attempt; a worker child has no journal handle, so honouring
-            // the flag silently would drop the crash-safety it promises.
-            if sup.snapshot_interval.is_some() {
-                return Err(usage_err(
-                    "--snapshot-interval is not supported with --isolation process \
-                     (workers cannot write in-flight checkpoints; completed cells \
-                     still journal normally)",
-                ));
-            }
             let exe = std::env::current_exe()
                 .map_err(|e| CliError::Io(format!("cannot locate own binary: {e}")))?;
             let mut cfg = WorkerPoolConfig::new(exe);
@@ -673,25 +641,17 @@ fn xorshift64(s: &mut u64) -> u64 {
     x
 }
 
-/// Chaos kill-loop: prove the snapshot/journal/resume path end to end by
-/// repeatedly SIGKILLing a real child sweep mid-job and resuming it, then
-/// comparing the final sweep document against an uninterrupted in-process
-/// reference. Kill points are driven by `--seed` through the journal's
-/// observable growth (a new line means a cell completed *or* an in-flight
-/// checkpoint landed — the latter puts the kill squarely inside a job).
+/// Chaos kill-loop: prove the journal/resume path end to end by
+/// repeatedly SIGKILLing a real child sweep mid-sweep and resuming it,
+/// then comparing the final sweep document against an uninterrupted
+/// in-process reference. Kill points are driven by `--seed` through the
+/// journal's observable growth (a new line means a cell completed); the
+/// cells running at the kill are lost and re-run from cycle 0 on resume.
 fn cmd_chaos(args: &[String]) -> CliResult {
     use redsoc::bench::json::Json;
     let flags = Flags::parse(
         args,
-        &[
-            "threads",
-            "len",
-            "kills",
-            "seed",
-            "snapshot-interval",
-            "dir",
-            "worker-kills",
-        ],
+        &["threads", "len", "kills", "seed", "dir", "worker-kills"],
     )?;
     let threads: usize = flags.num("threads", redsoc::bench::threads())?.max(1);
     let len: u64 = flags.num("len", 20_000)?;
@@ -700,12 +660,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         return Err(usage_err("--kills must be a positive kill count"));
     }
     let seed: u64 = flags.num("seed", 0u64)?;
-    let interval: u64 = flags.num("snapshot-interval", 4096u64)?;
-    if interval == 0 {
-        return Err(usage_err(
-            "--snapshot-interval must be a positive cycle count",
-        ));
-    }
     let keep_dir = flags.get("dir").is_some();
     let dir = match flags.get("dir") {
         Some(d) => std::path::PathBuf::from(d),
@@ -856,7 +810,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         c.arg("bench")
             .args(["--threads", &threads.to_string()])
             .args(["--len", &len.to_string()])
-            .args(["--snapshot-interval", &interval.to_string()])
             .arg("--out")
             .arg(&out)
             .arg(if resume { "--resume" } else { "--journal" })
@@ -880,8 +833,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     while performed < kills {
         let mut child = spawn(performed > 0)?;
         // Kill after the journal gains 1–2 more lines: right on the heels
-        // of a record or checkpoint landing, i.e. mid-sweep and (once
-        // checkpoints flow) mid-job.
+        // of a record landing, i.e. mid-sweep with other cells mid-job.
         let target = journal_lines() + 1 + (xorshift64(&mut rng) as usize & 1);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
         loop {
@@ -1280,8 +1232,6 @@ fn usage() -> String {
      \x20                          --job-timeout N  per-job cycle budget\n\
      \x20                          --max-retries N  retries for transient failures\n\
      \x20                          --backoff-ms N   retry backoff base\n\
-     \x20                          --snapshot-interval N  checkpoint in-flight jobs every\n\
-     \x20                          N cycles into the journal (needs --journal/--resume)\n\
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
      \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
@@ -1289,11 +1239,11 @@ fn usage() -> String {
      \x20                          --heartbeat-timeout-ms N  kill silent workers)\n\
      \x20 worker [flags]           internal: one pool worker child (spawned by\n\
      \x20                          bench --isolation process; speaks frames on stdio)\n\
-     \x20 chaos [flags]            crash-safety proof: SIGKILL a child sweep mid-job\n\
+     \x20 chaos [flags]            crash-safety proof: SIGKILL a child sweep mid-sweep\n\
      \x20                          --kills times (default 5), resume each time, and\n\
      \x20                          require the final sweep to match an uninterrupted\n\
      \x20                          reference (--seed N  --len N  --threads N\n\
-     \x20                          --snapshot-interval N  --dir DIR keeps artifacts;\n\
+     \x20                          --dir DIR keeps artifacts;\n\
      \x20                          --worker-kills N  storm mode: SIGKILL/SIGABRT the\n\
      \x20                          workers of a process-isolated sweep instead — the\n\
      \x20                          sweep must absorb every kill and still match)\n\

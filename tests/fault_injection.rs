@@ -243,17 +243,11 @@ fn cli_maps_errors_to_structured_exit_codes() {
         &["fuzz", "--cases", "0"],
         &["fuzz", "--schedulers", "nosuchsched"],
         &["fuzz", "--sabotage", "nope"],
-        &["bench", "--snapshot-interval", "0", "--journal", "x.jnl"],
-        &["bench", "--snapshot-interval", "junk", "--journal", "x.jnl"],
-        // In-flight checkpoints are journaled; without a journal the
-        // flag is an operator mistake, not a silent no-op.
-        &["bench", "--snapshot-interval", "4096"],
         &["chaos", "--kills", "0"],
         &["chaos", "--seed", "frog"],
         // Process-isolation flag validation: the worker knobs make no
-        // sense without the process tier, the degenerate values are
-        // operator mistakes, and mid-job snapshots need a journal the
-        // workers don't have.
+        // sense without the process tier, and the degenerate values are
+        // operator mistakes.
         &["bench", "--isolation", "warp"],
         &["bench", "--mem-limit-mb", "512"],
         &["bench", "--worker-recycle", "8"],
@@ -266,15 +260,6 @@ fn cli_maps_errors_to_structured_exit_codes() {
             "process",
             "--heartbeat-timeout-ms",
             "0",
-        ],
-        &[
-            "bench",
-            "--isolation",
-            "process",
-            "--snapshot-interval",
-            "4096",
-            "--journal",
-            "x.jnl",
         ],
         &["worker", "--heartbeat-ms", "0"],
         &["worker", "--mem-limit-mb", "0"],
@@ -298,6 +283,17 @@ fn cli_maps_errors_to_structured_exit_codes() {
         stderr.contains("unknown flag --bogus") && stderr.contains("--job-timeout"),
         "usage hint lists accepted flags: {stderr}"
     );
+
+    // Crash recovery is job-granular: there is no in-flight snapshot flag.
+    for cmd in ["bench", "chaos"] {
+        let out = run(redsoc().args([cmd, "--snapshot-interval", "4096"]));
+        assert_eq!(exit_code(&out), 2, "{cmd} --snapshot-interval: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag --snapshot-interval"),
+            "{cmd}: {stderr}"
+        );
+    }
 
     // Malformed fault plans are usage errors too.
     let out = run(redsoc()
@@ -396,80 +392,12 @@ fn tail_window_kill_after_last_job_loses_nothing_on_resume() {
 }
 
 #[test]
-fn sigkill_after_first_inflight_snapshot_resumes_byte_identically() {
-    // A real SIGKILL (not the cooperative REDSOC_DIE_AFTER_JOBS exit)
-    // delivered the instant the first in-flight checkpoint record hits
-    // the journal — i.e. while a simulation is mid-run. The resumed
-    // sweep restores that job from its snapshot and must still match an
-    // uninterrupted reference byte for byte.
-    let dir = tmp_dir("sigkill");
-    let clean = dir.join("clean.json");
-    let dead = dir.join("dead.json");
-    let resumed = dir.join("resumed.json");
-    let journal = dir.join("sweep.jnl");
-
-    let out = run(redsoc().args(bench_args(&clean)));
-    assert_eq!(exit_code(&out), 0, "reference sweep must succeed: {out:?}");
-
-    let mut child = redsoc()
-        .args(bench_args(&dead))
-        .args(["--journal", &journal.display().to_string()])
-        .args(["--snapshot-interval", "1024"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn snapshotting sweep");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    loop {
-        let has_snapshot = std::fs::read_to_string(&journal)
-            .is_ok_and(|t| t.lines().any(|l| l.contains("\"kind\": \"snapshot\"")));
-        if has_snapshot {
-            child.kill().expect("SIGKILL the sweep");
-            child.wait().expect("reap the sweep");
-            break;
-        }
-        assert!(
-            child.try_wait().expect("poll child").is_none(),
-            "sweep finished before any snapshot record landed — \
-             lower --snapshot-interval or raise the trace length"
-        );
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no snapshot record within 60s"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    assert!(!dead.exists(), "killed sweep must not write its output");
-
-    // Resume with snapshotting still enabled so the torn job restarts
-    // from its checkpoint rather than from scratch.
-    let out = run(redsoc()
-        .args(bench_args(&resumed))
-        .args(["--snapshot-interval", "1024"])
-        .args(["--resume", &journal.display().to_string()]));
-    assert_eq!(exit_code(&out), 0, "resumed sweep completes: {out:?}");
-
-    let out = run(redsoc().args([
-        "sweepcmp",
-        &clean.display().to_string(),
-        &resumed.display().to_string(),
-    ]));
-    assert_eq!(
-        exit_code(&out),
-        0,
-        "sweep resumed from an in-flight snapshot must match the \
-         uninterrupted reference: {out:?}"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn chaos_harness_survives_seeded_kill_loop() {
     // The built-in chaos harness end to end: three seeded SIGKILLs
-    // mid-sweep, resume after each, final comparison against its own
-    // uninterrupted in-process reference. Mirrors the CI chaos-smoke
-    // step.
+    // mid-sweep, each landing just after a cell's journal record, so the
+    // cells still running are lost and re-run from cycle 0 on resume.
+    // The final document must match the harness's own uninterrupted
+    // in-process reference. Mirrors the CI chaos-smoke step.
     let dir = tmp_dir("chaos");
     let out = run(redsoc().args([
         "chaos",
@@ -481,8 +409,6 @@ fn chaos_harness_survives_seeded_kill_loop() {
         "3",
         "--seed",
         "7",
-        "--snapshot-interval",
-        "1024",
         "--dir",
         &dir.display().to_string(),
     ]));
