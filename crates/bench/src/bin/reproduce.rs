@@ -2,7 +2,7 @@
 //! driver behind `EXPERIMENTS.md`.
 //!
 //! Starts with the parallel engine's full sweep (all workloads × Table I
-//! cores × all modes), writing the machine-readable `BENCH_sweep.json`,
+//! cores × all modes), writing the machine-readable `sweep.json`,
 //! then launches the per-figure binaries. Respects `REDSOC_TRACE_LEN` and
 //! `REDSOC_THREADS`; with the default 300k-instruction traces a full run
 //! takes a few minutes in release mode.
@@ -35,9 +35,9 @@ fn main() {
     let cache = TraceCache::new(trace_len());
     let grid = run_full_sweep(&cache, &Mode::all(), threads);
     let doc = sweep_json(&grid, trace_len());
-    std::fs::write("BENCH_sweep.json", doc.pretty()).expect("write BENCH_sweep.json");
+    std::fs::write("sweep.json", doc.pretty()).expect("write sweep.json");
     println!(
-        "{} jobs in {:.1}s wall ({:.1}s cpu) -> BENCH_sweep.json",
+        "{} jobs in {:.1}s wall ({:.1}s cpu) -> sweep.json",
         grid.rows().len(),
         grid.wall.as_secs_f64(),
         grid.cpu_time().as_secs_f64()

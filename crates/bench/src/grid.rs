@@ -323,7 +323,7 @@ impl Grid {
 }
 
 /// Serialise a sweep as the machine-readable `redsoc-bench-sweep/v4`
-/// document written to `BENCH_sweep.json`.
+/// document that `redsoc bench` writes.
 ///
 /// Per job: benchmark, class, core, mode, the supervision outcome
 /// (`status` of `ok | failed | timeout | quarantined`, `attempts`,

@@ -1,6 +1,6 @@
 //! Dependency-free JSON: a value type, an emitter, and a strict parser.
 //!
-//! `redsoc bench` emits its machine-readable sweep as `BENCH_sweep.json`;
+//! `redsoc bench` emits its machine-readable sweep as `sweep.json`;
 //! the golden tests parse that output back with the same module, so the
 //! schema is validated end-to-end without external crates.
 

@@ -21,7 +21,7 @@
 //!   `redsoc bench --resume`: completed cells survive a mid-sweep crash
 //!   and are not re-run;
 //! - [`json`] — a dependency-free JSON value/emitter/parser for the
-//!   machine-readable `BENCH_sweep.json` output;
+//!   machine-readable sweep output;
 //! - [`microbench`] — a minimal wall-clock micro-benchmark harness for the
 //!   `cargo bench` targets;
 //! - [`worker`] / [`pool`] — the process-isolation tier behind

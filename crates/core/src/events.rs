@@ -242,8 +242,10 @@ impl EventSink for VecSink {
         self.events.push((cycle, *ev));
     }
 
+    /// The last [`RingSink::DEFAULT_CAP`] events.
     fn recent(&self) -> Vec<String> {
-        self.events
+        let skip = self.events.len().saturating_sub(RingSink::DEFAULT_CAP);
+        self.events[skip..]
             .iter()
             .map(|(c, e)| format!("cycle {c}: {e:?}"))
             .collect()

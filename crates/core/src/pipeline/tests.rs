@@ -75,6 +75,28 @@ fn watchdog_fires_on_stuck_pipeline_with_event_dump() {
 }
 
 #[test]
+fn watchdog_dump_from_a_vec_sink_is_bounded() {
+    use crate::events::{RingSink, VecSink};
+    let mut sink = VecSink::new();
+    let err = stuck_simulator()
+        .run_events(std::iter::empty(), &mut sink)
+        .expect_err("stuck pipeline must deadlock");
+    let SimError::Deadlock { recent_events, .. } = &err else {
+        panic!("expected Deadlock, got {err:?}");
+    };
+    assert!(sink.events.len() > 100_000, "the sink keeps every event");
+    assert!(
+        recent_events.len() <= RingSink::DEFAULT_CAP,
+        "dump holds {} events",
+        recent_events.len()
+    );
+    assert!(
+        recent_events.iter().any(|e| e.contains("StallCycle")),
+        "diagnostic must show the stall run: {recent_events:?}"
+    );
+}
+
+#[test]
 fn watchdog_without_events_reports_empty_dump() {
     let err = stuck_simulator()
         .run(std::iter::empty())

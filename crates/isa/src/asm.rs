@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! ; comments run to end of line
-//! .mem   65536           ; optional: shrink the flat memory (bytes)
+//! .mem   65536           ; optional: shrink the 16 MiB flat memory (bytes)
 //! .zero  buf 64          ; 64 zeroed bytes, symbol `buf`
 //! .words tbl 1 2 0xFF    ; little-endian 32-bit words, symbol `tbl`
 //!
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 use crate::instruction::{Instr, LabelId};
 use crate::opcode::{AluOp, Cond, FpOp, MemWidth, MulOp, SimdOp, SimdType};
 use crate::operand::{Operand2, ShiftKind};
-use crate::program::{Program, ProgramBuilder, ProgramError};
+use crate::program::{Program, ProgramBuilder, ProgramError, DEFAULT_MEM_SIZE};
 use crate::reg::ArchReg;
 
 /// Assembly error with a 1-based line number.
@@ -207,6 +207,12 @@ impl Assembler {
         )?;
         if it.next().is_some() {
             return Err(err(ln, ".mem takes exactly one value"));
+        }
+        if !(1..=DEFAULT_MEM_SIZE).contains(&bytes) {
+            return Err(err(
+                ln,
+                format!(".mem size {bytes} is outside 1..={DEFAULT_MEM_SIZE}"),
+            ));
         }
         self.builder.mem_size(bytes);
         Ok(())
@@ -832,6 +838,17 @@ mod tests {
         assert_eq!(p.mem_size(), 65536);
         assert!(assemble(".mem\nhalt").is_err());
         assert!(assemble(".mem 1 2\nhalt").is_err());
+        let max = format!(".mem {DEFAULT_MEM_SIZE}\nhalt");
+        assert_eq!(
+            assemble(&max).expect("default size").mem_size(),
+            DEFAULT_MEM_SIZE
+        );
+        // Sizes outside 1..=16 MiB are rejected at the directive's line.
+        for bad in ["0", "16777217", "4294967295"] {
+            let e = assemble(&format!("mov r0, #1\n.mem {bad}\nhalt")).expect_err(bad);
+            assert_eq!(e.line, 2, "{bad}: {e:?}");
+            assert!(e.message.contains("outside"), "{bad}: {e:?}");
+        }
     }
 
     #[test]

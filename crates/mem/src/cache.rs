@@ -7,6 +7,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Why a [`CacheConfig`] is not a buildable geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,15 +140,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    /// LRU timestamp: larger = more recently used.
-    lru: u64,
-}
-
 /// Per-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -177,7 +169,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Each way is `[tag, stamp]`, so an empty cache is one zeroed
+    /// allocation. `stamp` is `tick << 1 | dirty`, where `tick` counts
+    /// touches and is incremented before each one: a filled way's stamp
+    /// is at least 2, 0 marks an invalid way, and since ticks are
+    /// distinct, a smaller stamp is an older touch whatever the dirty
+    /// bits. The dirty flag is not kept in the tag word because with
+    /// 1-byte lines in a single set a tag uses all 64 bits.
+    ways: Vec<[u64; 2]>,
     tick: u64,
     stats: CacheStats,
 }
@@ -208,7 +207,7 @@ impl Cache {
         config.validate()?;
         Ok(Cache {
             config,
-            lines: vec![Line::default(); (config.sets() * config.ways) as usize],
+            ways: vec![[0; 2]; (config.sets() * config.ways) as usize],
             tick: 0,
             stats: CacheStats::default(),
         })
@@ -220,32 +219,22 @@ impl Cache {
         self.config
     }
 
-    fn set_of(&self, addr: u64) -> u32 {
+    /// The ways of the set `addr` maps to, and the tag it carries.
+    fn set_and_tag(&self, addr: u64) -> (Range<usize>, u64) {
         let line = addr / u64::from(self.config.line_bytes);
-        (line % u64::from(self.config.sets())) as u32
-    }
-
-    fn tag_of(&self, addr: u64) -> u64 {
-        let line = addr / u64::from(self.config.line_bytes);
-        line / u64::from(self.config.sets())
-    }
-
-    fn set_slice(&mut self, set: u32) -> &mut [Line] {
+        let sets = u64::from(self.config.sets());
         let w = self.config.ways as usize;
-        let base = set as usize * w;
-        &mut self.lines[base..base + w]
+        let base = (line % sets) as usize * w;
+        (base..base + w, line / sets)
     }
 
     /// Probe without modifying state: is the line present?
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let w = self.config.ways as usize;
-        let base = set as usize * w;
-        self.lines[base..base + w]
+        let (set, tag) = self.set_and_tag(addr);
+        self.ways[set]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|&[t, stamp]| stamp != 0 && t == tag)
     }
 
     /// Demand access. Returns `true` on hit. On miss the line is filled
@@ -270,42 +259,25 @@ impl Cache {
     /// Core lookup/fill: returns hit/miss and updates LRU + contents.
     fn touch(&mut self, addr: u64, is_write: bool) -> bool {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        let mut victim: usize = 0;
-        let mut victim_lru = u64::MAX;
-        {
-            let ways = self.set_slice(set);
-            for (i, l) in ways.iter_mut().enumerate() {
-                if l.valid && l.tag == tag {
-                    l.lru = tick;
-                    l.dirty |= is_write;
-                    return true;
-                }
-                let score = if l.valid { l.lru } else { 0 };
-                if score < victim_lru {
-                    victim_lru = score;
-                    victim = i;
-                }
+        let stamp = self.tick << 1 | u64::from(is_write);
+        let (set, tag) = self.set_and_tag(addr);
+        let ways = &mut self.ways[set];
+        if let Some(way) = ways.iter_mut().find(|[t, s]| *s != 0 && *t == tag) {
+            way[1] = stamp | (way[1] & 1);
+            return true;
+        }
+        // Miss: evict the first way with the smallest stamp (an invalid
+        // way, else the LRU one) and fill.
+        let mut victim = 0;
+        for (i, way) in ways.iter().enumerate() {
+            if way[1] < ways[victim][1] {
+                victim = i;
             }
         }
-        // Miss: evict the LRU (or an invalid) way and fill.
-        let evicted_dirty = {
-            let ways = self.set_slice(set);
-            let l = &mut ways[victim];
-            let was_dirty = l.valid && l.dirty;
-            *l = Line {
-                valid: true,
-                dirty: is_write,
-                tag,
-                lru: tick,
-            };
-            was_dirty
-        };
-        if evicted_dirty {
+        if ways[victim][1] & 1 != 0 {
             self.stats.writebacks += 1;
         }
+        ways[victim] = [tag, stamp];
         false
     }
 
@@ -320,6 +292,7 @@ impl Cache {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::prefetch::tests::lcg;
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 16 B lines = 128 B.
@@ -387,6 +360,134 @@ mod tests {
     fn probe_is_side_effect_free() {
         let c = tiny();
         assert!(!c.probe(0x123));
+    }
+
+    /// A naive reference model: per set, a most-recent-first list of
+    /// `(tag, dirty)` lines, at most `ways` long. A miss in a full set
+    /// evicts the list's tail.
+    struct RefCache {
+        sets: Vec<Vec<(u64, bool)>>,
+        ways: usize,
+        line_bytes: u64,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> Self {
+            RefCache {
+                sets: vec![Vec::new(); config.sets() as usize],
+                ways: config.ways as usize,
+                line_bytes: u64::from(config.line_bytes),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let line = addr / self.line_bytes;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (set, tag) = self.locate(addr);
+            self.sets[set].iter().any(|&(t, _)| t == tag)
+        }
+
+        fn touch(&mut self, addr: u64, is_write: bool) -> bool {
+            let (set, tag) = self.locate(addr);
+            let ways = self.ways;
+            let lines = &mut self.sets[set];
+            if let Some(pos) = lines.iter().position(|&(t, _)| t == tag) {
+                let (_, dirty) = lines.remove(pos);
+                lines.insert(0, (tag, dirty || is_write));
+                return true;
+            }
+            if lines.len() == ways && lines.pop().is_some_and(|(_, dirty)| dirty) {
+                self.stats.writebacks += 1;
+            }
+            lines.insert(0, (tag, is_write));
+            false
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> bool {
+            self.stats.accesses += 1;
+            let hit = self.touch(addr, is_write);
+            if !hit {
+                self.stats.misses += 1;
+            }
+            hit
+        }
+
+        fn prefetch_fill(&mut self, addr: u64) {
+            self.stats.prefetch_fills += 1;
+            self.touch(addr, false);
+        }
+    }
+
+    #[test]
+    fn property_matches_reference_lru_model_on_random_streams() {
+        let geometries = [
+            // 4 sets x 2 ways x 16 B lines.
+            CacheConfig {
+                size_bytes: 128,
+                ways: 2,
+                line_bytes: 16,
+            },
+            // 1 set x 8 ways x 1 B lines: the tag is the whole address.
+            CacheConfig {
+                size_bytes: 8,
+                ways: 8,
+                line_bytes: 1,
+            },
+        ];
+        for config in geometries {
+            for seed in 0..16u64 {
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                // A pool of twice as many line addresses as the cache
+                // holds, some with the top address bits set, so streams
+                // both hit and evict.
+                let lines = 2 * u64::from(config.sets() * config.ways);
+                let pool: Vec<u64> = (0..lines)
+                    .map(|i| {
+                        let high = if lcg(&mut rng).is_multiple_of(4) {
+                            u64::MAX << 48
+                        } else {
+                            0
+                        };
+                        (high | i).wrapping_mul(u64::from(config.line_bytes))
+                    })
+                    .collect();
+                let mut dut = Cache::new(config);
+                let mut reference = RefCache::new(config);
+                for step in 0..2000 {
+                    let addr = pool[(lcg(&mut rng) % lines) as usize]
+                        + lcg(&mut rng) % u64::from(config.line_bytes);
+                    let (what, got, want) = match lcg(&mut rng) % 8 {
+                        0..=2 => (
+                            "read",
+                            dut.access(addr, false),
+                            reference.access(addr, false),
+                        ),
+                        3..=4 => (
+                            "write",
+                            dut.access(addr, true),
+                            reference.access(addr, true),
+                        ),
+                        5 => {
+                            dut.prefetch_fill(addr);
+                            reference.prefetch_fill(addr);
+                            ("prefetch", true, true)
+                        }
+                        _ => ("probe", dut.probe(addr), reference.probe(addr)),
+                    };
+                    assert_eq!(
+                        (got, dut.stats()),
+                        (want, reference.stats),
+                        "{config:?} seed {seed} step {step}: {what} {addr:#x} diverged"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ impl StridePrefetcher {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Train and collect the emitted targets.
@@ -278,8 +278,8 @@ mod tests {
         }
     }
 
-    /// Deterministic LCG so the property sweep needs no external crates.
-    fn lcg(state: &mut u64) -> u64 {
+    /// Deterministic LCG so the property sweeps need no external crates.
+    pub(crate) fn lcg(state: &mut u64) -> u64 {
         *state = state
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);

@@ -28,7 +28,7 @@ use redsoc_prng::SmallRng;
 
 /// Bytes of zeroed scratch memory every generated program allocates.
 pub const SCRATCH_BYTES: u32 = 1024;
-/// Flat memory size of generated programs (keeps state digests cheap).
+/// Flat memory size of generated programs (keeps state comparisons cheap).
 pub const GEN_MEM_SIZE: u32 = 64 * 1024;
 /// Reserved integer register holding the scratch base address.
 pub const SCRATCH_BASE: u8 = 28;

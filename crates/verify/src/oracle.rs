@@ -10,8 +10,8 @@
 //!   the interpreter's dynamic trace exactly;
 //! - the **final architectural state** (all 65 registers plus memory) is
 //!   recomputed by replaying exactly the committed instruction count
-//!   through a fresh interpreter and must match the reference digest for
-//!   every run;
+//!   through a fresh interpreter and must equal the reference state
+//!   exactly for every run (a mismatch is reported by digest);
 //! - per-run **timing invariants** must hold: non-zero cycle count, the
 //!   stall-attribution partition summing to the cycle count, in-order
 //!   commit, skewed-select ordering (no grandparent-speculative grant
@@ -23,7 +23,6 @@
 //! the scheduler claims — that is how the intentionally sabotaged
 //! scheduler ([`RedsocScheduler::with_inverted_skew`]) is caught.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use redsoc_core::events::{PipeEvent, VecSink};
@@ -150,7 +149,8 @@ pub enum Divergence {
         /// Observed `(seq, pc)` from the pipeline, if any.
         got: Option<(u64, u32)>,
     },
-    /// Final architectural state digest differs from the reference.
+    /// Final architectural state differs from the reference; the report
+    /// carries both states' digests.
     StateMismatch {
         /// The diverging policy.
         sched: SchedKind,
@@ -233,8 +233,18 @@ pub struct CaseOk {
     pub cycles: Vec<(SchedKind, u64)>,
 }
 
+/// Whether two interpreters hold the same architectural state: all
+/// registers, then memory.
+fn same_state(a: &Interpreter, b: &Interpreter, mem_size: u32) -> bool {
+    (0..NUM_ARCH_REGS).all(|i| {
+        let reg = ArchReg::from_index(i).expect("index below NUM_ARCH_REGS");
+        a.reg(reg) == b.reg(reg)
+    }) && a.mem(0, mem_size) == b.mem(0, mem_size)
+}
+
 /// FNV-1a digest of the full architectural state: all registers in index
-/// order, then memory.
+/// order, then memory. Only a [`Divergence::StateMismatch`] report needs
+/// it; the check itself is [`same_state`].
 fn state_digest(interp: &Interpreter, mem_size: u32) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -252,18 +262,19 @@ fn state_digest(interp: &Interpreter, mem_size: u32) -> u64 {
 }
 
 /// Events gathered from one pipeline run, reduced to what the checks
-/// need.
+/// need. The per-op tables are indexed by seq: an interpreter trace's
+/// seqs are `0..trace.len()`, and events for any other seq are dropped.
 struct RunView {
     report: SimReport,
     commits: Vec<(u64, u32)>,
-    /// `seq → pool`, from dispatch events.
-    pools: HashMap<u64, PoolKind>,
+    /// Pool of each op, from dispatch events.
+    pools: Vec<Option<PoolKind>>,
     /// `(cycle, seq, spec)` select grants, in emission order.
     grants: Vec<(u64, u64, bool)>,
-    /// `seq → (first, last)` CI-broadcast ticks.
-    broadcasts: HashMap<u64, (u64, u64)>,
-    /// Sequence numbers that took a tag-misprediction fallback.
-    tag_misses: Vec<u64>,
+    /// `(first, last)` CI-broadcast ticks of each op.
+    broadcasts: Vec<Option<(u64, u64)>>,
+    /// Whether each op took a tag-misprediction fallback.
+    tag_misses: Vec<bool>,
 }
 
 fn run_one(kind: SchedKind, trace: &[DynOp], cfg: &OracleConfig) -> Result<RunView, Divergence> {
@@ -283,28 +294,35 @@ fn run_one(kind: SchedKind, trace: &[DynOp], cfg: &OracleConfig) -> Result<RunVi
             sched: kind,
             error: e.to_string(),
         })?;
+    let n = trace.len();
     let mut view = RunView {
         report,
         commits: Vec::new(),
-        pools: HashMap::new(),
+        pools: vec![None; n],
         grants: Vec::new(),
-        broadcasts: HashMap::new(),
-        tag_misses: Vec::new(),
+        broadcasts: vec![None; n],
+        tag_misses: vec![false; n],
     };
     for (cycle, ev) in &sink.events {
         match *ev {
             PipeEvent::Commit { seq, pc } => view.commits.push((seq, pc)),
             PipeEvent::Dispatch { seq, pool, .. } => {
-                view.pools.insert(seq, pool);
+                if let Some(slot) = view.pools.get_mut(seq as usize) {
+                    *slot = Some(pool);
+                }
             }
             PipeEvent::SelectGrant { seq, spec } => view.grants.push((*cycle, seq, spec)),
             PipeEvent::CiBroadcast { seq, avail_tick } => {
-                view.broadcasts
-                    .entry(seq)
-                    .and_modify(|(_, last)| *last = avail_tick)
-                    .or_insert((avail_tick, avail_tick));
+                if let Some(slot) = view.broadcasts.get_mut(seq as usize) {
+                    let first = slot.map_or(avail_tick, |(first, _)| first);
+                    *slot = Some((first, avail_tick));
+                }
             }
-            PipeEvent::TagMispredict { seq, .. } => view.tag_misses.push(seq),
+            PipeEvent::TagMispredict { seq, .. } => {
+                if let Some(slot) = view.tag_misses.get_mut(seq as usize) {
+                    *slot = true;
+                }
+            }
             _ => {}
         }
     }
@@ -322,15 +340,17 @@ fn check_skew(kind: SchedKind, view: &RunView) -> Result<(), Divergence> {
         while j < view.grants.len() && view.grants[j].0 == cycle {
             j += 1;
         }
-        // Per-pool: track whether a speculative grant has been seen.
-        let mut spec_seen: HashMap<PoolKind, u64> = HashMap::new();
+        // Per pool (indexed by discriminant): the first speculative
+        // grant seen this cycle.
+        let mut spec_seen: [Option<u64>; 4] = [None; 4];
         for &(_, seq, spec) in &view.grants[i..j] {
-            let Some(&pool) = view.pools.get(&seq) else {
+            let Some(&Some(pool)) = view.pools.get(seq as usize) else {
                 continue;
             };
+            let first = &mut spec_seen[pool as usize];
             if spec {
-                spec_seen.entry(pool).or_insert(seq);
-            } else if let Some(&first_spec) = spec_seen.get(&pool) {
+                first.get_or_insert(seq);
+            } else if let Some(first_spec) = *first {
                 return Err(Divergence::TimingViolation {
                     sched: kind,
                     detail: format!(
@@ -351,20 +371,19 @@ fn check_skew(kind: SchedKind, view: &RunView) -> Result<(), Divergence> {
 /// replay) or either side took a tag-misprediction fallback are skipped —
 /// replays legitimately reorder those.
 fn check_ci_monotone(kind: SchedKind, trace: &[DynOp], view: &RunView) -> Result<(), Divergence> {
-    let mut last_writer: HashMap<usize, u64> = HashMap::new();
+    let mut last_writer: [Option<u64>; NUM_ARCH_REGS] = [None; NUM_ARCH_REGS];
     for op in trace {
         for src in op.instr.srcs().iter() {
-            let Some(&producer) = last_writer.get(&src.index()) else {
+            let Some(producer) = last_writer[src.index()] else {
                 continue;
             };
-            let (Some(&(p_first, p_last)), Some(&(_, c_last))) =
-                (view.broadcasts.get(&producer), view.broadcasts.get(&op.seq))
+            let (p, c) = (producer as usize, op.seq as usize);
+            let (Some(&Some((p_first, p_last))), Some(&Some((_, c_last)))) =
+                (view.broadcasts.get(p), view.broadcasts.get(c))
             else {
                 continue;
             };
-            let replayed = p_first != p_last
-                || view.tag_misses.contains(&producer)
-                || view.tag_misses.contains(&op.seq);
+            let replayed = p_first != p_last || view.tag_misses[p] || view.tag_misses[c];
             if !replayed && c_last < p_first {
                 return Err(Divergence::TimingViolation {
                     sched: kind,
@@ -377,10 +396,10 @@ fn check_ci_monotone(kind: SchedKind, trace: &[DynOp], view: &RunView) -> Result
             }
         }
         if let Some(d) = op.instr.dst() {
-            last_writer.insert(d.index(), op.seq);
+            last_writer[d.index()] = Some(op.seq);
         }
         if op.instr.writes_flags() {
-            last_writer.insert(ArchReg::flags().index(), op.seq);
+            last_writer[ArchReg::flags().index()] = Some(op.seq);
         }
     }
     Ok(())
@@ -401,7 +420,6 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
             error: e.to_string(),
         })?;
     let trace: Vec<DynOp> = trace.into_iter().collect();
-    let reference = state_digest(&interp, program.mem_size());
 
     let mut cycles = Vec::new();
     for &kind in &cfg.scheds {
@@ -423,19 +441,18 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
         }
 
         // 2. Final architectural state: replay exactly the committed
-        // count through a fresh interpreter and compare digests.
+        // count through a fresh interpreter and compare state.
         let mut replay = Interpreter::new(program);
         replay
             .run(view.commits.len() as u64)
             .map_err(|e| Divergence::ExecFault {
                 error: format!("replay fault: {e}"),
             })?;
-        let got = state_digest(&replay, program.mem_size());
-        if got != reference {
+        if !same_state(&interp, &replay, program.mem_size()) {
             return Err(Divergence::StateMismatch {
                 sched: kind,
-                expected: reference,
-                got,
+                expected: state_digest(&interp, program.mem_size()),
+                got: state_digest(&replay, program.mem_size()),
             });
         }
 
@@ -538,6 +555,40 @@ mod tests {
             }
             other => panic!("expected a timing violation, got {other}"),
         }
+    }
+
+    /// Run `program` for `steps` instructions.
+    fn stepped(program: &Program, steps: u64) -> Interpreter<'_> {
+        let mut interp = Interpreter::new(program);
+        interp.run(steps).expect("no fault");
+        interp
+    }
+
+    #[test]
+    fn state_comparison_is_exact() {
+        let p = redsoc_isa::asm::assemble(
+            ".mem 65536\n.zero buf 4\nmov r0, #7\nmov r1, =buf\nstr r0, [r1]\nhalt",
+        )
+        .expect("assembles");
+        let size = p.mem_size();
+        assert!(
+            same_state(&stepped(&p, 4), &stepped(&p, 4), size),
+            "one program stepped to the same count"
+        );
+
+        // Register only: the last of the 65 registers differs.
+        let mut other = stepped(&p, 4);
+        let last = ArchReg::from_index(NUM_ARCH_REGS - 1).expect("last register");
+        other.set_reg(last, other.reg(last) ^ 1);
+        assert!(!same_state(&stepped(&p, 4), &other, size));
+
+        // Memory only: stepping over the store writes no register.
+        let (before, after) = (stepped(&p, 2), stepped(&p, 3));
+        assert!((0..NUM_ARCH_REGS).all(|i| {
+            let reg = ArchReg::from_index(i).expect("register index");
+            before.reg(reg) == after.reg(reg)
+        }));
+        assert!(!same_state(&before, &after, size));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! redsoc trace conv --format chrome --out conv_trace.json
 //! redsoc compare crc --core medium
 //! redsoc sweep bzip2 --knob threshold
-//! redsoc bench --threads 8 --len 300000 --out BENCH_sweep.json
+//! redsoc bench --threads 8 --len 300000 --out sweep.json
 //! redsoc bench --journal sweep.jnl --job-timeout 50000000
-//! redsoc bench --resume sweep.jnl --out BENCH_sweep.json
+//! redsoc bench --resume sweep.jnl --out sweep.json
 //! redsoc chaos --kills 5 --seed 1 --len 20000
 //! redsoc sweepcmp a_sweep.json b_sweep.json
 //! redsoc perfgate BENCH_sweep.json fresh_sweep.json --tolerance 15
@@ -456,7 +456,9 @@ fn cmd_bench(args: &[String]) -> CliResult {
     )?;
     let threads = flags.num("threads", redsoc::bench::threads())?.max(1);
     let len: u64 = flags.num("len", redsoc::bench::trace_len())?;
-    let out = flags.get("out").unwrap_or("BENCH_sweep.json");
+    // Not `BENCH_sweep.json`: that is the committed baseline, rewritten
+    // only by the perfgate re-baseline procedure.
+    let out = flags.get("out").unwrap_or("sweep.json");
 
     let mut sup = SupervisorConfig {
         faults: FaultPlan::from_env().map_err(|e| usage_err(format!("bad REDSOC_FAULT: {e}")))?,

@@ -588,6 +588,24 @@ fn chaos_worker_kill_storm_is_absorbed_with_identical_results() {
 }
 
 #[test]
+fn bench_without_out_leaves_the_committed_baseline_alone() {
+    // `BENCH_sweep.json` is the committed baseline; a `bench` run from a
+    // checkout root without `--out` must write `sweep.json` instead.
+    let dir = tmp_dir("default-out");
+    let out = run(redsoc()
+        .current_dir(&dir)
+        .args(["bench", "--threads", THREADS, "--len", "10"])
+        .env_remove("REDSOC_FAULT"));
+    assert_eq!(exit_code(&out), 0, "clean sweep must succeed: {out:?}");
+    assert!(dir.join("sweep.json").exists(), "default output written");
+    assert!(
+        !dir.join("BENCH_sweep.json").exists(),
+        "the baseline's file name is never a default"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unwritable_journal_parent_dir_fails_fast_as_usage_error() {
     // --journal pointing into a directory that doesn't exist must fail
     // before any simulation runs: exit 2 (usage), with a hint naming the
