@@ -7,10 +7,10 @@ use std::hint::black_box;
 
 use redsoc_bench::microbench::{bench, group};
 use redsoc_bench::runner::{run_grid, Mode};
-use redsoc_bench::{compare_ts, cores, redsoc_for, TraceCache};
+use redsoc_bench::{cores, redsoc_for, TraceCache};
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
 use redsoc_core::pipeline::simulate;
-use redsoc_core::sched::ts::error_rate_at;
+use redsoc_core::sched::ts::{error_rate_at, run_ts};
 use redsoc_timing::optime::fig1_series;
 use redsoc_workloads::Benchmark;
 
@@ -63,12 +63,7 @@ fn bench_fig15() {
     });
     bench("crc_ts_full", LEN, || {
         let base = simulate(trace.iter().copied(), CoreConfig::big()).expect("base");
-        black_box(compare_ts(
-            &cache,
-            Benchmark::Crc,
-            &CoreConfig::big(),
-            base.cycles,
-        ))
+        black_box(run_ts(&trace, &CoreConfig::big(), base.cycles, 0.01).expect("ts"))
     });
 }
 

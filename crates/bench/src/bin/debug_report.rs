@@ -1,6 +1,7 @@
 //! Diagnostic dump of one benchmark's simulation reports.
-use redsoc_bench::{compare, redsoc_for, trace_len, TraceCache};
-use redsoc_core::config::CoreConfig;
+use redsoc_bench::{redsoc_for, trace_len, TraceCache};
+use redsoc_core::config::{CoreConfig, SchedulerConfig};
+use redsoc_core::pipeline::simulate;
 use redsoc_workloads::Benchmark;
 
 fn main() {
@@ -10,7 +11,15 @@ fn main() {
         .find(|b| b.name().eq_ignore_ascii_case(&name))
         .expect("unknown benchmark");
     let cache = TraceCache::new(trace_len());
-    let cmp = compare(&cache, bench, &CoreConfig::big());
+    let trace = cache.get(bench);
+    let run = |s| {
+        simulate(trace.iter().copied(), CoreConfig::big().with_sched(s))
+            .expect("experiments are deterministic; a simulator error is a bug")
+    };
+    let (base, r) = (
+        run(SchedulerConfig::baseline()),
+        run(redsoc_for(bench.class())),
+    );
     println!(
         "=== {} on BIG (sched {:?}) ===",
         bench.name(),
@@ -18,12 +27,11 @@ fn main() {
     );
     println!(
         "baseline: cycles {} ipc {:.3} fu_stall {:.3} mispred {:.4}",
-        cmp.base.cycles,
-        cmp.base.ipc(),
-        cmp.base.fu_stall_rate(),
-        cmp.base.branch.mispredict_rate()
+        base.cycles,
+        base.ipc(),
+        base.fu_stall_rate(),
+        base.branch.mispredict_rate()
     );
-    let r = &cmp.redsoc;
     println!(
         "redsoc:   cycles {} ipc {:.3} fu_stall {:.3}",
         r.cycles,
@@ -51,5 +59,5 @@ fn main() {
         r.width_pred.aggressive_rate(),
         r.width_pred.conservative_rate()
     );
-    println!("  speedup {:.3}", cmp.speedup());
+    println!("  speedup {:.3}", r.speedup_over(&base));
 }

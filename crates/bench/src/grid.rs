@@ -1,9 +1,10 @@
 //! The sweep data model: jobs, cells, grids and their JSON emission.
 //!
-//! A sweep covers a (benchmark × core × scheduler mode) grid. This module
-//! defines the vocabulary — [`Mode`], [`Job`], [`Cell`], [`Grid`] — and
-//! the canonical JSON report ([`sweep_json`] / [`canonicalize_sweep`]);
-//! the [`runner`](crate::runner) module owns execution.
+//! A sweep covers a (benchmark × core × scheduler mode × scheduler
+//! variant) grid. This module defines the vocabulary — [`Mode`],
+//! [`Variant`], [`Job`], [`Cell`], [`Grid`] — and the canonical JSON
+//! report ([`sweep_json`] / [`canonicalize_sweep`]); the
+//! [`runner`](crate::runner) module owns execution.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -18,8 +19,8 @@ use crate::json::Json;
 use crate::redsoc_for;
 use crate::supervisor::{stall_labels, CellSummary, JobError, JobStatus};
 
-/// Scheduler modes a sweep can cover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Scheduler modes a sweep can cover, in sweep order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Mode {
     /// Conventional scheduling (the speedup denominator).
     Baseline,
@@ -48,18 +49,60 @@ impl Mode {
     pub fn all() -> [Mode; 4] {
         [Mode::Baseline, Mode::Redsoc, Mode::Mos, Mode::Ts]
     }
+}
 
-    pub(crate) fn sched(self, bench: Benchmark) -> Option<SchedulerConfig> {
-        match self {
-            Mode::Baseline => Some(SchedulerConfig::baseline()),
-            Mode::Redsoc => Some(redsoc_for(bench.class())),
-            Mode::Mos => Some(SchedulerConfig::mos()),
-            Mode::Ts => None,
-        }
+/// A scheduler variant: the ablation axes of the ReDSOC scheduler —
+/// Completion-Instant precision and recycle threshold (§V, §IV-C),
+/// width-predictor size (§II-B) and the PVT guard band (§V). Each set
+/// field overrides the mode's scheduler configuration; the default
+/// variant overrides nothing, so default-variant jobs keep the keys,
+/// digests and sweep rows of builds that predate the axis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Variant {
+    /// Completion-Instant precision in bits.
+    pub ci_bits: Option<u8>,
+    /// Recycle threshold in CI ticks.
+    pub threshold: Option<u64>,
+    /// Width-predictor entries.
+    pub width_entries: Option<usize>,
+    /// Exploit the PVT guard band on top of data slack.
+    pub pvt: bool,
+}
+
+impl Variant {
+    /// Whether this is the default variant (no overrides).
+    #[must_use]
+    pub fn is_default(&self) -> bool {
+        *self == Variant::default()
+    }
+
+    /// Machine-readable label, `-`-separated overrides such as `ci4-t15`,
+    /// `wp1024` or `pvt`; empty for the default variant.
+    #[must_use]
+    pub fn label(&self) -> String {
+        let parts = [
+            self.ci_bits.map(|bits| format!("ci{bits}")),
+            self.threshold.map(|t| format!("t{t}")),
+            self.width_entries.map(|n| format!("wp{n}")),
+            self.pvt.then(|| "pvt".to_string()),
+        ];
+        parts.into_iter().flatten().collect::<Vec<_>>().join("-")
+    }
+
+    /// `sched` with this variant's overrides applied.
+    #[must_use]
+    pub fn apply(&self, mut sched: SchedulerConfig) -> SchedulerConfig {
+        sched.ci_bits = self.ci_bits.unwrap_or(sched.ci_bits);
+        sched.threshold_ticks = self.threshold.unwrap_or(sched.threshold_ticks);
+        let entries = &mut sched.width_predictor_entries;
+        *entries = self.width_entries.unwrap_or(*entries);
+        sched.pvt_guard_band |= self.pvt;
+        sched
     }
 }
 
-/// One simulation job: a benchmark on a core under a scheduler mode.
+/// One simulation job: a benchmark on a core under a scheduler mode and
+/// variant.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Workload.
@@ -70,19 +113,64 @@ pub struct Job {
     pub core: CoreConfig,
     /// Scheduler mode.
     pub mode: Mode,
+    /// Scheduler variant (the default for every `redsoc bench` cell).
+    pub variant: Variant,
 }
 
 impl Job {
-    /// The job's sweep key (`bench/CORE/mode`) — the journal key and the
-    /// fault-injection key.
+    /// Default-variant jobs over `benches` × `cores` × `modes`, in sweep
+    /// order.
+    #[must_use]
+    pub fn grid(
+        benches: &[Benchmark],
+        cores: &[(&'static str, CoreConfig)],
+        modes: &[Mode],
+    ) -> Vec<Job> {
+        let mut jobs = Vec::new();
+        for bench in benches {
+            for (core_name, core) in cores {
+                for mode in modes {
+                    jobs.push(Job {
+                        bench: *bench,
+                        core_name,
+                        core: core.clone(),
+                        mode: *mode,
+                        variant: Variant::default(),
+                    });
+                }
+            }
+        }
+        jobs
+    }
+
+    /// The job's sweep key (`bench/CORE/mode`, plus `/variant` for a
+    /// non-default variant) — the journal key and the fault-injection key.
     #[must_use]
     pub fn key(&self) -> String {
-        format!(
+        let key = format!(
             "{}/{}/{}",
             self.bench.name(),
             self.core_name,
             self.mode.label()
-        )
+        );
+        if self.variant.is_default() {
+            key
+        } else {
+            format!("{key}/{}", self.variant.label())
+        }
+    }
+
+    /// The job's scheduler configuration (`None` for the analytical TS
+    /// mode).
+    #[must_use]
+    pub fn sched(&self) -> Option<SchedulerConfig> {
+        let sched = match self.mode {
+            Mode::Baseline => SchedulerConfig::baseline(),
+            Mode::Redsoc => redsoc_for(self.bench.class()),
+            Mode::Mos => SchedulerConfig::mos(),
+            Mode::Ts => return None,
+        };
+        Some(self.variant.apply(sched))
     }
 
     /// Digest of the job's effective configuration at `trace_len`. A
@@ -91,7 +179,7 @@ impl Job {
     /// fresh run instead of silently resuming stale results.
     #[must_use]
     pub fn digest(&self, trace_len: u64) -> String {
-        let sched = self.mode.sched(self.bench);
+        let sched = self.sched();
         fnv1a_hex(&format!(
             "redsoc-bench-sweep/v4|{trace_len}|{}|{:?}|{:?}",
             self.key(),
@@ -177,7 +265,7 @@ pub struct Cell {
     /// Wall-clock of this cell (journaled value for restored cells).
     pub wall: Duration,
     /// Full in-process result — present only for cells executed
-    /// successfully in this process (what the figure binaries consume).
+    /// successfully in this process (what the report's counters read).
     pub result: Option<JobResult>,
     /// Row summary — present for every successful cell, fresh or
     /// restored (what the sweep JSON consumes).
@@ -194,9 +282,18 @@ impl Cell {
     }
 }
 
-/// Results of a sweep, keyed by (benchmark, core name, mode).
+/// A grid cell's identity: (benchmark, core name, mode, variant).
+pub(crate) type CellKey = (Benchmark, &'static str, Mode, Variant);
+
+impl Job {
+    pub(crate) fn cell_key(&self) -> CellKey {
+        (self.bench, self.core_name, self.mode, self.variant)
+    }
+}
+
+/// Results of a sweep, keyed by (benchmark, core name, mode, variant).
 pub struct Grid {
-    pub(crate) cells: HashMap<(Benchmark, &'static str, Mode), Cell>,
+    pub(crate) cells: HashMap<CellKey, Cell>,
     /// Wall-clock of the whole sweep (including trace generation).
     pub wall: Duration,
     /// Worker threads used.
@@ -204,27 +301,24 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// The cell for one combination, if the sweep covered it (core names
-    /// match case-insensitively).
+    /// The default-variant cell for one combination, if the sweep
+    /// covered it (core names match case-insensitively).
     #[must_use]
     pub fn cell(&self, bench: Benchmark, core_name: &str, mode: Mode) -> Option<&Cell> {
         self.cells
             .iter()
-            .find(|((b, c, m), _)| *b == bench && c.eq_ignore_ascii_case(core_name) && *m == mode)
+            .find(|((b, c, m, v), _)| {
+                *b == bench && c.eq_ignore_ascii_case(core_name) && *m == mode && v.is_default()
+            })
             .map(|(_, c)| c)
     }
 
-    /// All cells in deterministic (benchmark, core, mode) sweep order.
+    /// All cells in deterministic (benchmark, core, mode, variant) sweep
+    /// order; the extended suite follows `Benchmark::all()`.
     #[must_use]
     pub fn cells(&self) -> Vec<&Cell> {
         let mut cells: Vec<&Cell> = self.cells.values().collect();
-        cells.sort_by_key(|c| {
-            (
-                Benchmark::all().iter().position(|b| *b == c.job.bench),
-                c.job.core_name,
-                Mode::all().iter().position(|m| *m == c.job.mode),
-            )
-        });
+        cells.sort_by_key(|c| c.job.cell_key());
         cells
     }
 
@@ -247,61 +341,22 @@ impl Grid {
         self.cells.values().all(Cell::is_ok)
     }
 
-    /// The in-process result for one cell, if the sweep covered it and
-    /// executed it successfully in this process (core names match
-    /// case-insensitively). Restored and failed cells return `None`.
+    /// Speedup of one cell over the default-variant baseline of its
+    /// benchmark × core, computed from cell summaries (works for restored
+    /// cells too); `None` when either cell is unsuccessful.
     #[must_use]
-    pub fn get(&self, bench: Benchmark, core_name: &str, mode: Mode) -> Option<&JobResult> {
-        self.cell(bench, core_name, mode)
-            .and_then(|c| c.result.as_ref())
-    }
-
-    /// The simulation report for one cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell was not covered, did not execute successfully
-    /// in this process, or was a TS job. The figure binaries use this:
-    /// they always run fresh, fully-successful grids.
-    #[must_use]
-    #[allow(clippy::expect_used)] // panicking accessor by documented contract
-    pub fn report(&self, bench: Benchmark, core_name: &str, mode: Mode) -> &SimReport {
-        self.get(bench, core_name, mode)
-            .unwrap_or_else(|| panic!("grid missing {}/{core_name}/{:?}", bench.name(), mode))
-            .report()
-            .expect("simulator cell")
-    }
-
-    /// Speedup of `mode` over the baseline for one benchmark × core,
-    /// computed from cell summaries (works for restored cells too);
-    /// `None` when either cell is missing or unsuccessful.
-    #[must_use]
-    pub fn try_speedup(&self, bench: Benchmark, core_name: &str, mode: Mode) -> Option<f64> {
-        let summary = self.cell(bench, core_name, mode)?.summary.as_ref()?;
-        match summary {
+    pub fn speedup(&self, cell: &Cell) -> Option<f64> {
+        match cell.summary.as_ref()? {
             // TS carries its own wall-clock-corrected speedup (shorter
             // cycles at a shorter clock period).
             CellSummary::Ts { speedup, .. } => Some(*speedup),
             CellSummary::Sim { cycles, .. } => {
-                let base = self
-                    .cell(bench, core_name, Mode::Baseline)?
-                    .summary
-                    .as_ref()?;
+                let job = &cell.job;
+                let base_key = (job.bench, job.core_name, Mode::Baseline, Variant::default());
+                let base = self.cells.get(&base_key)?.summary.as_ref()?;
                 Some(base.cycles() as f64 / *cycles as f64)
             }
         }
-    }
-
-    /// Speedup of `mode` over the baseline for one benchmark × core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid lacks the cell or its baseline (figure-binary
-    /// convenience; sweeps use [`Grid::try_speedup`]).
-    #[must_use]
-    pub fn speedup(&self, bench: Benchmark, core_name: &str, mode: Mode) -> f64 {
-        self.try_speedup(bench, core_name, mode)
-            .unwrap_or_else(|| panic!("grid missing {}/{core_name}/{:?}", bench.name(), mode))
     }
 
     /// All in-process results in deterministic (benchmark, core, mode)
@@ -337,7 +392,9 @@ impl Grid {
 /// matching baseline run, since TS replays the same trace. Failed cells
 /// carry `null` metrics plus an `error` record (`kind`, `message`, and
 /// the recent pipeline events captured at the point of failure), so a
-/// partial grid is a well-formed document rather than a crash.
+/// partial grid is a well-formed document rather than a crash. A
+/// non-default-variant row also names its `variant` label, and divides
+/// the default-variant baseline's cycles.
 #[must_use]
 pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
     let jobs: Vec<Json> = grid
@@ -398,12 +455,12 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
                 ("committed", num_or_null(committed)),
                 ("ipc", num_or_null(ipc)),
                 ("wall_seconds", Json::Num(c.wall.as_secs_f64())),
-                (
-                    "speedup_over_baseline",
-                    num_or_null(grid.try_speedup(c.job.bench, c.job.core_name, c.job.mode)),
-                ),
+                ("speedup_over_baseline", num_or_null(grid.speedup(c))),
                 ("stalls", stalls),
             ];
+            if !c.job.variant.is_default() {
+                fields.push(("variant", Json::str(&c.job.variant.label())));
+            }
             if let Some(memory) = memory {
                 fields.push(("memory", memory));
             }
@@ -486,12 +543,130 @@ mod tests {
             core_name: "BIG",
             core: CoreConfig::big(),
             mode: Mode::Redsoc,
+            variant: Variant::default(),
         };
         assert_eq!(job.digest(1000), job.digest(1000));
         assert_ne!(job.digest(1000), job.digest(2000), "trace length matters");
         let mut other = job.clone();
         other.core.rob_entries += 1;
         assert_ne!(job.digest(1000), other.digest(1000), "core config matters");
+    }
+
+    fn job(bench: Benchmark, core_name: &'static str, core: CoreConfig, mode: Mode) -> Job {
+        Job {
+            bench,
+            core_name,
+            core,
+            mode,
+            variant: Variant::default(),
+        }
+    }
+
+    #[test]
+    fn default_variant_keys_and_digests_match_older_builds() {
+        // Computed by the build before the variant axis existed: journals
+        // that older builds wrote must keep resuming.
+        let pinned = [
+            (
+                job(Benchmark::Bitcnt, "BIG", CoreConfig::big(), Mode::Redsoc),
+                "bitcnt/BIG/redsoc",
+                ["eede67e91bcaa65f", "ef4b85c81ee1df34"],
+            ),
+            (
+                job(Benchmark::Crc, "SMALL", CoreConfig::small(), Mode::Ts),
+                "crc/SMALL/ts",
+                ["67e8244764071b05", "676e0aad2f56d3bc"],
+            ),
+            (
+                job(
+                    Benchmark::Xalanc,
+                    "MEDIUM",
+                    CoreConfig::medium(),
+                    Mode::Baseline,
+                ),
+                "xalanc/MEDIUM/baseline",
+                ["fff632594c6985b2", "cc12c3a06b9626ed"],
+            ),
+        ];
+        for (job, key, [d2000, d300k]) in pinned {
+            assert_eq!(job.key(), key);
+            assert_eq!(job.digest(2000), d2000, "{key} at len 2000");
+            assert_eq!(job.digest(300_000), d300k, "{key} at len 300000");
+        }
+    }
+
+    #[test]
+    fn variants_get_their_own_key_digest_and_scheduler() {
+        let base = job(Benchmark::Crc, "BIG", CoreConfig::big(), Mode::Redsoc);
+        let variant = Job {
+            variant: Variant {
+                ci_bits: Some(4),
+                threshold: Some(15),
+                ..Variant::default()
+            },
+            ..base.clone()
+        };
+        assert_eq!(variant.key(), "crc/BIG/redsoc/ci4-t15");
+        assert_ne!(variant.digest(2000), base.digest(2000));
+        let sched = variant.sched().expect("simulator mode");
+        assert_eq!((sched.ci_bits, sched.threshold_ticks), (4, 15));
+        assert_eq!(base.sched(), Some(SchedulerConfig::redsoc()));
+    }
+
+    #[test]
+    fn variant_rows_divide_the_default_baseline() {
+        let sim = |job: Job, cycles: u64| Cell {
+            job,
+            status: JobStatus::Ok,
+            attempts: 1,
+            restored: false,
+            retry_backoff: Duration::ZERO,
+            wall: Duration::ZERO,
+            result: None,
+            summary: Some(CellSummary::Sim {
+                cycles,
+                committed: 50,
+                stalls: [0; 10],
+                memory: None,
+            }),
+            failure: None,
+        };
+        let base = job(Benchmark::Crc, "BIG", CoreConfig::big(), Mode::Baseline);
+        let redsoc = Job {
+            mode: Mode::Redsoc,
+            ..base.clone()
+        };
+        let pvt = Job {
+            variant: Variant {
+                pvt: true,
+                ..Variant::default()
+            },
+            ..redsoc.clone()
+        };
+        let cells = [sim(base, 100), sim(redsoc, 80), sim(pvt, 50)];
+        let grid = Grid {
+            cells: cells.into_iter().map(|c| (c.job.cell_key(), c)).collect(),
+            wall: Duration::ZERO,
+            threads: 1,
+        };
+        let doc = sweep_json(&grid, 100);
+        let rows = doc.get("jobs").unwrap().as_arr().unwrap();
+        let speedups: Vec<(Option<&str>, f64)> = rows
+            .iter()
+            .map(|r| {
+                (
+                    r.get("variant").and_then(Json::as_str),
+                    r.get("speedup_over_baseline").unwrap().as_num().unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            speedups,
+            [(None, 1.0), (None, 1.25), (Some("pvt"), 2.0)],
+            "rows in sweep order; the variant divides the default baseline"
+        );
+        let cell = grid.cell(Benchmark::Crc, "big", Mode::Redsoc).unwrap();
+        assert_eq!(grid.speedup(cell), Some(1.25));
     }
 
     #[test]
@@ -542,6 +717,7 @@ mod tests {
             core_name: "BIG",
             core: CoreConfig::big(),
             mode: Mode::Baseline,
+            variant: Variant::default(),
         };
         let mut cell = Cell {
             job,
@@ -560,10 +736,7 @@ mod tests {
             failure: None,
         };
         let grid_of = |cell: &Cell| Grid {
-            cells: HashMap::from([(
-                (cell.job.bench, cell.job.core_name, cell.job.mode),
-                cell.clone(),
-            )]),
+            cells: HashMap::from([(cell.job.cell_key(), cell.clone())]),
             wall: Duration::ZERO,
             threads: 1,
         };

@@ -539,6 +539,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_middle_line_drops_itself_and_the_rest() {
+        assert_eq!(
+            resume_with_middle_line("nested", "[".repeat(200_000).as_bytes()),
+            ["a/BIG/redsoc"]
+        );
+    }
+
+    #[test]
     fn wall_seconds_beyond_duration_range_is_corrupt() {
         // `1e400` parses to infinity; neither fits in a `Duration`.
         for wall in ["1e300", "1e400"] {

@@ -140,6 +140,7 @@ impl Json {
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -181,9 +182,16 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest value nesting the parser accepts. Every document this crate
+/// writes nests at most five levels; the cap turns adversarial input (a
+/// journal line or worker frame of a million `[`) into a parse error
+/// instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,6 +220,19 @@ impl Parser<'_> {
     }
 
     fn value(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = self.value_at_depth();
+        self.depth -= 1;
+        v
+    }
+
+    fn value_at_depth(&mut self) -> Result<Json, String> {
         match self.b.get(self.i) {
             None => Err("unexpected end of input".into()),
             Some(b'n') => self.lit("null", Json::Null),
@@ -378,6 +399,17 @@ mod tests {
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_ordinary_error() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! # redsoc-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation. Each
-//! `fig*`/`tab*`/`abl*`/`exp*` binary prints one figure's data as
-//! machine-readable rows; `reproduce` runs them all (see `EXPERIMENTS.md`
-//! for the paper-vs-measured record).
+//! Regenerates every table and figure of the paper's evaluation from one
+//! results document: [`report`] runs one supervised job list and renders
+//! each figure, table and ablation as a pure function of the document
+//! (`redsoc report`; `RESULTS.json` and `EXPERIMENTS.md` hold the
+//! committed record).
 //!
 //! This library holds the shared experiment engine:
 //!
@@ -11,9 +12,12 @@
 //!   trace is generated exactly once per process and handed out as
 //!   `Arc<[DynOp]>` to any number of simulation threads;
 //! - [`runner`] — the fault-tolerant parallel job runner: fans
-//!   (benchmark × core × scheduler mode) simulations across a thread
-//!   pool under per-job supervision and collects a [`runner::Grid`] of
-//!   cells, honouring `REDSOC_THREADS`;
+//!   (benchmark × core × scheduler mode × scheduler variant) simulations
+//!   across a thread pool under per-job supervision and collects a
+//!   [`runner::Grid`] of cells, honouring `REDSOC_THREADS`;
+//! - [`report`] — the paper's experiments as one job list, the results
+//!   document with the per-cell counters the figures need, and the
+//!   renderers of every figure, table and ablation;
 //! - [`supervisor`] — the job supervisor: `catch_unwind` isolation, the
 //!   structured `JobError` taxonomy, bounded deterministic retries,
 //!   quarantine, and the fault-injection plan used by the crash tests;
@@ -38,6 +42,7 @@ pub mod journal;
 pub mod json;
 pub mod microbench;
 pub mod pool;
+pub mod report;
 pub mod runner;
 pub mod supervisor;
 pub mod worker;
@@ -46,15 +51,13 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
-use redsoc_core::pipeline::simulate;
-use redsoc_core::sched::ts::{run_ts, TsResult};
-use redsoc_core::stats::SimReport;
 use redsoc_isa::trace::DynOp;
 use redsoc_workloads::{BenchClass, Benchmark};
 
 /// Default dynamic-instruction budget per simulation. Chosen so every
-/// workload reaches steady state while the full figure sweep stays fast;
-/// raise via `REDSOC_TRACE_LEN` for higher-fidelity runs.
+/// workload reaches steady state while the full report stays fast;
+/// `RESULTS.json` is committed at this length. Override via
+/// `REDSOC_TRACE_LEN`.
 pub const DEFAULT_TRACE_LEN: u64 = 300_000;
 
 /// Trace length, honouring the `REDSOC_TRACE_LEN` environment variable.
@@ -89,24 +92,14 @@ pub fn cores() -> [(&'static str, CoreConfig); 3] {
     ]
 }
 
-/// Per-application-class recycle threshold, tuned by the `abl_threshold`
-/// sweep exactly as the paper tunes per benchmark set (§IV-C, §VI-C).
+/// The ReDSOC scheduler configuration the sweeps run for `class`. The
+/// paper tunes the recycle threshold per benchmark set (§IV-C); this
+/// reproduction applies the paper's operating point, t = 7 of 8 ticks at
+/// 3 CI bits, to every class, so this is [`SchedulerConfig::redsoc`] for
+/// all of them. The report's threshold ablation shows the alternatives.
 #[must_use]
-pub fn tuned_threshold(class: BenchClass) -> u64 {
-    match class {
-        // Compute-rich classes recycle aggressively.
-        BenchClass::MiBench | BenchClass::Ml => 7,
-        // SPEC has more FU pressure from memory-adjacent work.
-        BenchClass::Spec => 7,
-    }
-}
-
-/// A ReDSOC scheduler configuration tuned for `class`.
-#[must_use]
-pub fn redsoc_for(class: BenchClass) -> SchedulerConfig {
-    let mut s = SchedulerConfig::redsoc();
-    s.threshold_ticks = tuned_threshold(class);
-    s
+pub fn redsoc_for(_class: BenchClass) -> SchedulerConfig {
+    SchedulerConfig::redsoc()
 }
 
 /// Concurrent, shareable trace store.
@@ -185,76 +178,6 @@ impl TraceCache {
     }
 }
 
-/// Run `bench` on `core` with scheduler `sched`.
-///
-/// # Panics
-///
-/// Panics on simulator errors (experiments are deterministic; an error is
-/// a bug, not an expected outcome).
-pub fn run_on(
-    cache: &TraceCache,
-    bench: Benchmark,
-    core: &CoreConfig,
-    sched: SchedulerConfig,
-) -> SimReport {
-    let trace = cache.get(bench);
-    let config = core.clone().with_sched(sched);
-    simulate(trace.iter().copied(), config)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", bench.name(), core.name))
-}
-
-/// Baseline and ReDSOC reports plus the derived speedup for one
-/// benchmark × core pair.
-pub struct Comparison {
-    /// Baseline run.
-    pub base: SimReport,
-    /// ReDSOC run (class-tuned threshold).
-    pub redsoc: SimReport,
-}
-
-impl Comparison {
-    /// Speedup of ReDSOC over baseline.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.redsoc.speedup_over(&self.base)
-    }
-}
-
-/// Run the baseline/ReDSOC pair for one benchmark × core.
-pub fn compare(cache: &TraceCache, bench: Benchmark, core: &CoreConfig) -> Comparison {
-    let base = run_on(cache, bench, core, SchedulerConfig::baseline());
-    let redsoc = run_on(cache, bench, core, redsoc_for(bench.class()));
-    Comparison { base, redsoc }
-}
-
-/// Run the TS comparator for one benchmark × core (§VI-D), given the
-/// baseline cycles.
-///
-/// # Panics
-///
-/// Panics on simulator errors, like [`run_on`].
-pub fn compare_ts(
-    cache: &TraceCache,
-    bench: Benchmark,
-    core: &CoreConfig,
-    baseline_cycles: u64,
-) -> TsResult {
-    let trace = cache.get(bench);
-    run_ts(&trace, core, baseline_cycles, 0.01)
-        .unwrap_or_else(|e| panic!("TS {} on {}: {e}", bench.name(), core.name))
-}
-
-/// Geometric-mean helper for class averages (the paper reports means per
-/// benchmark class).
-#[must_use]
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 /// Arithmetic mean.
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -270,10 +193,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn geomean_and_mean() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+    fn mean_of_values_and_of_nothing() {
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]
@@ -296,16 +218,5 @@ mod tests {
             assert!(lens.windows(2).all(|w| w[0] == w[1]));
         });
         assert_eq!(c.generated(), 1, "concurrent gets must generate once");
-    }
-
-    #[test]
-    fn smoke_comparison_on_small_trace() {
-        let c = TraceCache::new(5_000);
-        let cmp = compare(&c, Benchmark::Bitcnt, &CoreConfig::big());
-        assert!(
-            cmp.speedup() > 1.0,
-            "bitcnt must speed up: {}",
-            cmp.speedup()
-        );
     }
 }

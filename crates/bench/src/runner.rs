@@ -42,6 +42,7 @@ use redsoc_isa::program::r;
 use redsoc_isa::trace::DynOp;
 use redsoc_workloads::Benchmark;
 
+use crate::grid::CellKey;
 use crate::journal::{Journal, JournalRecord};
 use crate::pool::{self, WorkerPoolConfig};
 use crate::supervisor::{
@@ -52,6 +53,7 @@ use crate::TraceCache;
 
 pub use crate::grid::{
     canonicalize_sweep, sweep_json, Cell, CellFailure, Grid, Job, JobOutput, JobResult, Mode,
+    Variant,
 };
 
 /// Run `f` over `items` on `threads` worker threads, preserving item
@@ -213,10 +215,7 @@ fn hang_attempt(
     sup: &SupervisorConfig,
     progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
-    let sched = job
-        .mode
-        .sched(job.bench)
-        .unwrap_or_else(SchedulerConfig::baseline);
+    let sched = job.sched().unwrap_or_else(SchedulerConfig::baseline);
     let config = job.core.clone().with_sched(sched);
     let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
     let sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
@@ -304,17 +303,8 @@ pub(crate) fn attempt_with_faults(
         }
         _ => match (job.mode, ts_base) {
             (Mode::Ts, Some(base)) => ts_attempt(cache, job, base),
-            (Mode::Ts, None) => Err((
-                JobError::DependencyFailed {
-                    key: Job {
-                        mode: Mode::Baseline,
-                        ..job.clone()
-                    }
-                    .key(),
-                },
-                Vec::new(),
-            )),
-            (_, _) => match job.mode.sched(job.bench) {
+            (Mode::Ts, None) => Err(dependency_failed(job)),
+            (_, _) => match job.sched() {
                 Some(sched) => sim_attempt(cache, job, sched, sup, progress),
                 None => Err((
                     JobError::Sim(SimError::BadConfig(format!(
@@ -325,6 +315,21 @@ pub(crate) fn attempt_with_faults(
                 )),
             },
         },
+    }
+}
+
+/// The error of a TS cell whose baseline cell failed.
+fn dependency_failed(job: &Job) -> (JobError, Vec<String>) {
+    let key = baseline_of(job).key();
+    (JobError::DependencyFailed { key }, Vec::new())
+}
+
+/// The default-variant baseline job a TS job measures against.
+fn baseline_of(job: &Job) -> Job {
+    Job {
+        mode: Mode::Baseline,
+        variant: Variant::default(),
+        ..job.clone()
     }
 }
 
@@ -406,14 +411,14 @@ fn exec_cell(
                 if job.mode == Mode::Ts && ts_base.is_none() {
                     // No point shipping a TS cell whose baseline failed
                     // to a worker; fail it parent-side like thread mode.
+                    Err(dependency_failed(job))
+                } else if !job.variant.is_default() {
+                    // The wire protocol names jobs by benchmark, core and
+                    // mode only.
                     Err((
-                        JobError::DependencyFailed {
-                            key: Job {
-                                mode: Mode::Baseline,
-                                ..job.clone()
-                            }
-                            .key(),
-                        },
+                        JobError::Sim(SimError::BadConfig(format!(
+                            "{key}: scheduler variants run thread-isolated only"
+                        ))),
                         Vec::new(),
                     ))
                 } else {
@@ -456,8 +461,8 @@ fn exec_cell(
                 retry_backoff: supervised.scheduled_backoff,
                 wall,
                 // Process isolation returns only the journaled summary
-                // (the parent never holds the full report); figure
-                // plotting always runs thread-isolated.
+                // (the parent never holds the full report); the report's
+                // counters need thread isolation.
                 result: output.map(|output| JobResult {
                     job: job.clone(),
                     wall,
@@ -487,40 +492,12 @@ fn exec_cell(
 }
 
 /// Run a sweep over `benches` × `cores` × `modes` on `threads` workers
-/// under full supervision: failures degrade to per-cell statuses, the
-/// cycle-budget watchdog bounds each job, and completed cells checkpoint
-/// to `journal` (restored from it instead of re-run when their digest
-/// matches).
-///
-/// Requesting [`Mode::Ts`] implies baseline runs (they are added when
-/// missing): TS picks its clock from the trace but reports speedup against
-/// the measured baseline cycle count.
-#[must_use]
-pub fn run_grid_supervised(
-    cache: &TraceCache,
-    benches: &[Benchmark],
-    cores: &[(&'static str, CoreConfig)],
-    modes: &[Mode],
-    threads: usize,
-    sup: &SupervisorConfig,
-    journal: Option<&Journal>,
-) -> Grid {
-    run_grid_isolated(
-        cache,
-        benches,
-        cores,
-        modes,
-        threads,
-        sup,
-        journal,
-        &Isolation::Thread,
-    )
-}
-
-/// [`run_grid_supervised`] with an explicit execution tier. Thread
-/// isolation is byte-identical to [`run_grid_supervised`]; process
-/// isolation ships every attempt to pooled `redsoc worker` children
-/// (see [`Isolation`]).
+/// under full supervision, on the execution tier `isolation` (see
+/// [`Isolation`]; thread isolation is the default): failures degrade to
+/// per-cell statuses, the cycle-budget watchdog bounds each job, and
+/// completed cells checkpoint to `journal` (restored from it instead of
+/// re-run when their digest matches). Requesting [`Mode::Ts`] implies
+/// baseline runs (see [`run_jobs`]).
 #[must_use]
 #[allow(clippy::too_many_arguments)] // the supervised signature + one tier knob
 pub fn run_grid_isolated(
@@ -533,11 +510,33 @@ pub fn run_grid_isolated(
     journal: Option<&Journal>,
     isolation: &Isolation,
 ) -> Grid {
+    let jobs = Job::grid(benches, cores, modes);
+    run_jobs(cache, &jobs, threads, sup, journal, isolation)
+}
+
+/// Run an explicit job list under full supervision — the engine behind
+/// [`run_grid_isolated`]. A [`Mode::Ts`] job implies the default-variant
+/// baseline of its benchmark × core, which is added when missing: TS
+/// picks its clock from the trace but reports speedup against the
+/// measured baseline cycle count, so TS jobs run in a second wave.
+/// Non-default [`Variant`] jobs need thread isolation.
+#[must_use]
+pub fn run_jobs(
+    cache: &TraceCache,
+    jobs: &[Job],
+    threads: usize,
+    sup: &SupervisorConfig,
+    journal: Option<&Journal>,
+    isolation: &Isolation,
+) -> Grid {
     let start = Instant::now();
-    let want_ts = modes.contains(&Mode::Ts);
-    let mut sim_modes: Vec<Mode> = modes.iter().copied().filter(|m| *m != Mode::Ts).collect();
-    if want_ts && !sim_modes.contains(&Mode::Baseline) {
-        sim_modes.push(Mode::Baseline);
+    let (ts_jobs, mut sim_jobs): (Vec<Job>, Vec<Job>) =
+        jobs.iter().cloned().partition(|j| j.mode == Mode::Ts);
+    for ts in &ts_jobs {
+        let base = baseline_of(ts);
+        if !sim_jobs.iter().any(|j| j.cell_key() == base.cell_key()) {
+            sim_jobs.push(base);
+        }
     }
 
     // Pre-generate traces in parallel: distinct benchmarks don't contend.
@@ -546,74 +545,42 @@ pub fn run_grid_isolated(
     // under process isolation: the parent never simulates, and each
     // worker keeps its own cache warm across the jobs it executes.
     if matches!(isolation, Isolation::Thread) {
-        run_parallel(benches, threads, |b| {
+        let mut benches: Vec<Benchmark> = Vec::new();
+        for job in jobs {
+            if !benches.contains(&job.bench) {
+                benches.push(job.bench);
+            }
+        }
+        run_parallel(&benches, threads, |b| {
             let _ = catch_unwind(AssertUnwindSafe(|| {
                 let _ = cache.get(*b);
             }));
         });
     }
 
-    let mut jobs = Vec::new();
-    for bench in benches {
-        for (core_name, core) in cores {
-            for mode in &sim_modes {
-                jobs.push(Job {
-                    bench: *bench,
-                    core_name,
-                    core: core.clone(),
-                    mode: *mode,
-                });
-            }
-        }
-    }
-
-    let cells = run_parallel(&jobs, threads, |job| {
+    let cells = run_parallel(&sim_jobs, threads, |job| {
         exec_cell(cache, job, None, sup, journal, isolation)
     });
-    let mut map: HashMap<(Benchmark, &'static str, Mode), Cell> = cells
-        .into_iter()
-        .map(|c| ((c.job.bench, c.job.core_name, c.job.mode), c))
-        .collect();
+    let mut map: HashMap<CellKey, Cell> =
+        cells.into_iter().map(|c| (c.job.cell_key(), c)).collect();
 
-    if want_ts {
-        let ts_jobs: Vec<Job> = benches
-            .iter()
-            .flat_map(|bench| {
-                cores.iter().map(move |(core_name, core)| Job {
-                    bench: *bench,
-                    core_name,
-                    core: core.clone(),
-                    mode: Mode::Ts,
-                })
-            })
-            .collect();
-        // The measured baseline per (benchmark, core): `None` when the
-        // baseline cell failed, which fails the TS cell as a dependency.
-        let baselines: HashMap<(Benchmark, &'static str), Option<(u64, u64)>> = ts_jobs
+    if !ts_jobs.is_empty() {
+        // The measured baseline per TS job: `None` when the baseline cell
+        // failed, which fails the TS cell as a dependency.
+        let ts_work: Vec<(&Job, Option<(u64, u64)>)> = ts_jobs
             .iter()
             .map(|j| {
                 let base = map
-                    .get(&(j.bench, j.core_name, Mode::Baseline))
+                    .get(&baseline_of(j).cell_key())
                     .and_then(|c| c.summary.as_ref())
                     .map(|s| (s.cycles(), s.committed()));
-                ((j.bench, j.core_name), base)
+                (j, base)
             })
             .collect();
-        let ts_cells = run_parallel(&ts_jobs, threads, |job| {
-            exec_cell(
-                cache,
-                job,
-                baselines[&(job.bench, job.core_name)],
-                sup,
-                journal,
-                isolation,
-            )
+        let ts_cells = run_parallel(&ts_work, threads, |(job, base)| {
+            exec_cell(cache, job, *base, sup, journal, isolation)
         });
-        map.extend(
-            ts_cells
-                .into_iter()
-                .map(|c| ((c.job.bench, c.job.core_name, c.job.mode), c)),
-        );
+        map.extend(ts_cells.into_iter().map(|c| (c.job.cell_key(), c)));
     }
 
     // Workers owned by scoped sweep threads shut down with their
@@ -631,9 +598,8 @@ pub fn run_grid_isolated(
     }
 }
 
-/// Run a sweep with the default supervisor policy and no journal — the
-/// figure-binary path. Failures still degrade to cells instead of
-/// panicking; the accessors ([`Grid::report`]) panic on missing cells.
+/// Run a sweep with the default supervisor policy and no journal.
+/// Failures still degrade to cells instead of panicking.
 #[must_use]
 pub fn run_grid(
     cache: &TraceCache,
@@ -642,7 +608,7 @@ pub fn run_grid(
     modes: &[Mode],
     threads: usize,
 ) -> Grid {
-    run_grid_supervised(
+    run_grid_isolated(
         cache,
         benches,
         cores,
@@ -650,6 +616,7 @@ pub fn run_grid(
         threads,
         &SupervisorConfig::default(),
         None,
+        &Isolation::Thread,
     )
 }
 
@@ -689,8 +656,11 @@ mod tests {
         );
         assert_eq!(grid.rows().len(), 4);
         assert!(grid.fully_ok());
-        assert!(grid.speedup(Benchmark::Bitcnt, "BIG", Mode::Redsoc) > 1.0);
-        assert!(grid.get(Benchmark::Bitcnt, "SMALL", Mode::Redsoc).is_none());
+        let redsoc = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Redsoc).unwrap();
+        assert!(grid.speedup(redsoc).unwrap() > 1.0);
+        assert!(grid
+            .cell(Benchmark::Bitcnt, "SMALL", Mode::Redsoc)
+            .is_none());
     }
 
     #[test]
@@ -699,8 +669,11 @@ mod tests {
         let benches = [Benchmark::Bitcnt];
         let cores = crate::cores();
         let grid = run_grid(&cache, &benches, &cores[..1], &[Mode::Ts], 2);
-        assert!(grid.get(Benchmark::Bitcnt, "BIG", Mode::Baseline).is_some());
-        let ts = grid.speedup(Benchmark::Bitcnt, "BIG", Mode::Ts);
+        assert!(grid
+            .cell(Benchmark::Bitcnt, "BIG", Mode::Baseline)
+            .is_some());
+        let ts = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Ts).unwrap();
+        let ts = grid.speedup(ts).unwrap();
         assert!(ts.is_finite() && ts > 0.0);
     }
 
@@ -713,7 +686,7 @@ mod tests {
             faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic { times: 99 }),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Bitcnt],
             &crate::cores()[..1],
@@ -721,6 +694,7 @@ mod tests {
             2,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let bad = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Redsoc).unwrap();
         assert_eq!(bad.status, JobStatus::Quarantined);
@@ -739,7 +713,7 @@ mod tests {
             faults: FaultPlan::none().with("crc/BIG/baseline", Fault::Hang),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Crc],
             &crate::cores()[..1],
@@ -747,6 +721,7 @@ mod tests {
             1,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let cell = grid.cell(Benchmark::Crc, "BIG", Mode::Baseline).unwrap();
         assert_eq!(cell.status, JobStatus::Timeout);
@@ -766,7 +741,7 @@ mod tests {
             faults: FaultPlan::none().with("bitcnt/BIG/baseline", Fault::Fail),
             ..SupervisorConfig::default()
         };
-        let grid = run_grid_supervised(
+        let grid = run_grid_isolated(
             &cache,
             &[Benchmark::Bitcnt],
             &crate::cores()[..1],
@@ -774,6 +749,7 @@ mod tests {
             1,
             &sup,
             None,
+            &Isolation::Thread,
         );
         let ts = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Ts).unwrap();
         assert_eq!(ts.status, JobStatus::Failed);

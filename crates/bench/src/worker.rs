@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use redsoc_core::pipeline::SimError;
 use redsoc_workloads::Benchmark;
 
-use crate::grid::{Job, Mode};
+use crate::grid::{Job, Mode, Variant};
 use crate::journal::JournalRecord;
 use crate::json::Json;
 use crate::runner::attempt_with_faults;
@@ -501,6 +501,7 @@ fn job_from_spec(spec: &JobSpec) -> Result<Job, String> {
         core_name,
         core: core.with_mem_model(mem),
         mode,
+        variant: Variant::default(),
     })
 }
 
@@ -773,6 +774,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_payload_is_a_protocol_error() {
+        let payload = "[".repeat(1 << 20);
+        let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(payload.as_bytes());
+        assert!(matches!(
+            read_frame(&mut Cursor::new(buf)),
+            Err(FrameError::Protocol(d)) if d.contains("nesting deeper than")
+        ));
+    }
+
+    #[test]
     fn eof_mid_job_reads_as_protocol_error_for_every_following_frame() {
         // A complete frame followed by a torn one: the reader yields the
         // good frame, then a protocol error — never a panic or a hang.
@@ -875,6 +887,7 @@ mod tests {
                 core_name: "MEDIUM",
                 core: crate::cores()[1].1.clone(),
                 mode: Mode::Redsoc,
+                variant: Variant::default(),
             };
             parent.digest(2000)
         });

@@ -288,7 +288,7 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
 }
 
 /// Build the scheduler implementing `config.mode` — the registry the
-/// simulator (and thereby every figure binary and the sweep runner) uses.
+/// simulator (and thereby the report and the sweep runner) uses.
 #[must_use]
 pub fn build_scheduler(config: &SchedulerConfig) -> Box<dyn Scheduler> {
     match config.mode {

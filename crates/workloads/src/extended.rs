@@ -11,8 +11,10 @@
 //!   serial chain of mixed-slack operations (the mechanism's natural
 //!   habitat).
 //!
-//! These are *not* part of the paper's evaluation; the `exp_extended`
-//! binary reports them separately.
+//! These are *not* part of the paper's evaluation: they are
+//! [`Benchmark::extended`](crate::Benchmark::extended) variants, outside
+//! `Benchmark::all()`, and `redsoc report` shows them in their own
+//! section.
 
 use redsoc_isa::opcode::SimdType;
 use redsoc_isa::program::{op_imm, op_reg, r, v, Program, ProgramBuilder};

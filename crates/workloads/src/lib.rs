@@ -45,6 +45,8 @@ pub enum BenchClass {
     MiBench,
     /// Machine-learning kernels (Table II).
     Ml,
+    /// The extended suite, outside the paper's evaluation.
+    Extended,
 }
 
 impl BenchClass {
@@ -55,12 +57,14 @@ impl BenchClass {
             BenchClass::Spec => "SPEC",
             BenchClass::MiBench => "MiBench",
             BenchClass::Ml => "ML",
+            BenchClass::Extended => "extended",
         }
     }
 }
 
-/// The sixteen benchmarks of the evaluation, in Fig. 10 order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The sixteen benchmarks of the evaluation, in Fig. 10 order, then the
+/// extended suite (the order sweeps sort by).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// SPEC xalancbmk-like.
     Xalanc,
@@ -95,6 +99,14 @@ pub enum Benchmark {
     /// ML multiply-accumulate chain (bonus: exercises VMLA late
     /// forwarding; not part of the paper's table but used in tests).
     MlMac,
+    /// Extended suite: insertion sort, qsort's base case.
+    Qsort,
+    /// Extended suite: Dijkstra relaxation over an adjacency matrix.
+    Dijkstra,
+    /// Extended suite: SHA-style rotate/XOR/add rounds.
+    ShaMix,
+    /// Extended suite: an `i8` dot product on VMLA chains.
+    DotI8,
 }
 
 impl Benchmark {
@@ -107,6 +119,14 @@ impl Benchmark {
             Xalanc, Bzip2, Omnetpp, Gromacs, Soplex, Corners, Strsearch, Gsm, Crc, Bitcnt, Act,
             Pool0, Conv, Pool1, Softmax, MlMac,
         ]
+    }
+
+    /// The four kernels of the extended suite ([`extended`]), which lie
+    /// outside [`Benchmark::all`] and every class of the paper's figures.
+    #[must_use]
+    pub fn extended() -> Vec<Benchmark> {
+        use Benchmark::*;
+        vec![Qsort, Dijkstra, ShaMix, DotI8]
     }
 
     /// The benchmarks shown in the paper's figures (15 of them).
@@ -147,6 +167,10 @@ impl Benchmark {
             Benchmark::Pool1 => "POOL1",
             Benchmark::Softmax => "SOFTMAX",
             Benchmark::MlMac => "MLMAC",
+            Benchmark::Qsort => "qsort",
+            Benchmark::Dijkstra => "dijkstra",
+            Benchmark::ShaMix => "sha_mix",
+            Benchmark::DotI8 => "dot_i8",
         }
     }
 
@@ -158,6 +182,7 @@ impl Benchmark {
             Xalanc | Bzip2 | Omnetpp | Gromacs | Soplex => BenchClass::Spec,
             Corners | Strsearch | Gsm | Crc | Bitcnt => BenchClass::MiBench,
             Act | Pool0 | Conv | Pool1 | Softmax | MlMac => BenchClass::Ml,
+            Qsort | Dijkstra | ShaMix | DotI8 => BenchClass::Extended,
         }
     }
 
@@ -183,6 +208,10 @@ impl Benchmark {
             Benchmark::Pool1 => kernel_trace(ml::pool_avg, approx_len),
             Benchmark::Softmax => kernel_trace(ml::softmax, approx_len),
             Benchmark::MlMac => kernel_trace(ml_mac, approx_len),
+            Benchmark::Qsort => kernel_trace(extended::qsort, approx_len),
+            Benchmark::Dijkstra => kernel_trace(extended::dijkstra, approx_len),
+            Benchmark::ShaMix => kernel_trace(extended::sha_mix, approx_len),
+            Benchmark::DotI8 => kernel_trace(extended::dot_i8, approx_len),
         }
     }
 }
@@ -265,10 +294,14 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let mut names: Vec<_> = Benchmark::all().iter().map(|b| b.name()).collect();
+        let every: Vec<Benchmark> = Benchmark::all()
+            .into_iter()
+            .chain(Benchmark::extended())
+            .collect();
+        let mut names: Vec<_> = every.iter().map(|b| b.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), Benchmark::all().len());
+        assert_eq!(names.len(), every.len());
     }
 
     #[test]

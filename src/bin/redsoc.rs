@@ -6,7 +6,7 @@
 //! redsoc run bitcnt --events bitcnt.jsonl
 //! redsoc trace conv --format chrome --out conv_trace.json
 //! redsoc compare crc --core medium
-//! redsoc sweep bzip2 --knob threshold
+//! redsoc report --out report.json
 //! redsoc bench --threads 8 --len 300000 --out sweep.json
 //! redsoc bench --journal sweep.jnl --job-timeout 50000000
 //! redsoc bench --resume sweep.jnl --out sweep.json
@@ -17,7 +17,7 @@
 //!
 //! Exit codes are structured so scripts can tell failure modes apart:
 //! `0` success, `1` I/O or comparison mismatch, `2` usage error, `3`
-//! simulator error, `4` sweep completed but with failed cells.
+//! simulator error, `4` sweep or report completed but with failed cells.
 
 // A crash in the driver loses an operator's sweep; every fallible path
 // must flow into the structured `CliError` exit codes instead.
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use redsoc::bench::journal::Journal;
 use redsoc::bench::pool::WorkerPoolConfig;
 use redsoc::bench::runner::{
-    canonicalize_sweep, run_grid_isolated, run_grid_supervised, sweep_json, Isolation, Mode,
+    canonicalize_sweep, run_grid_isolated, run_jobs, sweep_json, Isolation, Mode,
 };
 use redsoc::bench::supervisor::{FaultPlan, SupervisorConfig};
 use redsoc::core::sched::ts::run_ts;
@@ -389,50 +389,57 @@ fn cmd_compare(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_sweep(args: &[String]) -> CliResult {
-    let bench =
-        parse_bench(args.first().ok_or_else(|| {
-            usage_err("usage: redsoc sweep <bench> --knob <threshold|precision>")
-        })?)?;
-    let flags = Flags::parse(&args[1..], &["core", "knob", "len", "mem-model"])?;
-    let core = with_mem_flag(parse_core(flags.get("core").unwrap_or("big"))?, &flags)?;
-    let knob = flags.get("knob").unwrap_or("threshold");
-    let len: u64 = flags.num("len", 60_000)?;
-    let trace = bench.trace(len);
-    let sim_err = |e: SimError| CliError::Sim(e.to_string());
-    let base = simulate(trace.iter().copied(), core.clone()).map_err(sim_err)?;
-    match knob {
-        "threshold" => {
-            println!("{:<10} {:>9}", "threshold", "speedup");
-            for t in 0..=7u64 {
-                let mut s = SchedulerConfig::redsoc();
-                s.threshold_ticks = t;
-                let rep =
-                    simulate(trace.iter().copied(), core.clone().with_sched(s)).map_err(sim_err)?;
-                println!("{t:<10} {:>8.1}%", (rep.speedup_over(&base) - 1.0) * 100.0);
-            }
-        }
-        "precision" => {
-            println!("{:<10} {:>9}", "ci_bits", "speedup");
-            for bits in 1..=8u8 {
-                let mut s = SchedulerConfig::redsoc();
-                s.ci_bits = bits;
-                s.threshold_ticks = (1 << bits) - 1;
-                let rep =
-                    simulate(trace.iter().copied(), core.clone().with_sched(s)).map_err(sim_err)?;
-                println!(
-                    "{bits:<10} {:>8.1}%",
-                    (rep.speedup_over(&base) - 1.0) * 100.0
-                );
-            }
-        }
-        other => {
-            return Err(usage_err(format!(
-                "unknown knob {other:?} (accepted: --knob threshold|precision)"
-            )))
-        }
+/// Every paper number from one supervised job list: run it, write the
+/// results document, and print each figure, table and ablation rendered
+/// from that document. Trace length and threads come from
+/// `REDSOC_TRACE_LEN` and `REDSOC_THREADS`; the committed `RESULTS.json`
+/// is a bare run's output.
+fn cmd_report(args: &[String]) -> CliResult {
+    use redsoc::bench::report::{jobs, render, results_json};
+    let flags = Flags::parse(args, &["out"])?;
+    // Not `RESULTS.json`: that is the committed document, which a report
+    // run replaces only when asked to by name.
+    let out = flags.get("out").unwrap_or("report.json");
+    let sup = SupervisorConfig {
+        faults: FaultPlan::from_env().map_err(|e| usage_err(format!("bad REDSOC_FAULT: {e}")))?,
+        ..SupervisorConfig::default()
+    };
+    let (len, threads) = (redsoc::bench::trace_len(), redsoc::bench::threads());
+    let cache = redsoc::bench::TraceCache::new(len);
+    let grid = run_jobs(&cache, &jobs(), threads, &sup, None, &Isolation::Thread);
+    let doc = results_json(&grid, len);
+    std::fs::write(out, doc.pretty())
+        .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+    for (_, text) in render(&doc) {
+        println!("{text}");
     }
-    Ok(())
+    println!(
+        "{} jobs at len {len} on {threads} thread(s): wall {:.2}s, cpu {:.2}s; wrote {out}",
+        grid.cells().len(),
+        grid.wall.as_secs_f64(),
+        grid.cpu_time().as_secs_f64(),
+    );
+    partial_error(&grid)
+}
+
+/// `Ok` for a fully successful grid, else the exit-4 error naming every
+/// failed cell.
+fn partial_error(grid: &redsoc::bench::runner::Grid) -> CliResult {
+    let failed: Vec<String> = grid
+        .cells()
+        .iter()
+        .filter(|c| !c.is_ok())
+        .map(|c| format!("{} ({})", c.job.key(), c.status.label()))
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Partial(format!(
+            "sweep completed with {} failed cell(s): {}",
+            failed.len(),
+            failed.join(", ")
+        )))
+    }
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
@@ -615,21 +622,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
             .join(", ")
     );
     println!("wrote {out}");
-    if grid.fully_ok() {
-        Ok(())
-    } else {
-        let failed: Vec<String> = grid
-            .cells()
-            .iter()
-            .filter(|c| !c.is_ok())
-            .map(|c| format!("{} ({})", c.job.key(), c.status.label()))
-            .collect();
-        Err(CliError::Partial(format!(
-            "sweep completed with {} failed cell(s): {}",
-            failed.len(),
-            failed.join(", ")
-        )))
-    }
+    partial_error(&grid)
 }
 
 /// Seeded xorshift64: the chaos harness's only randomness source, so a
@@ -674,7 +667,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     // reproduce byte-identically after canonicalisation.
     println!("chaos: reference sweep (len {len}, {threads} thread(s), no interruptions)");
     let cache = redsoc::bench::TraceCache::new(len);
-    let grid = run_grid_supervised(
+    let grid = run_grid_isolated(
         &cache,
         &Benchmark::all(),
         &redsoc::bench::cores(),
@@ -682,6 +675,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         threads,
         &SupervisorConfig::default(),
         None,
+        &Isolation::Thread,
     );
     if !grid.fully_ok() {
         return Err(CliError::Sim(
@@ -1226,7 +1220,9 @@ fn usage() -> String {
      \x20                          (--format chrome|jsonl  --out FILE;\n\
      \x20                          chrome output loads in chrome://tracing)\n\
      \x20 compare <bench> [flags]  baseline vs ReDSOC vs TS vs MOS\n\
-     \x20 sweep <bench> [flags]    design-knob sweep (--knob threshold|precision)\n\
+     \x20 report [--out FILE]      every figure, table and ablation of the paper from one\n\
+     \x20                          supervised run -> results JSON (default report.json;\n\
+     \x20                          REDSOC_TRACE_LEN and REDSOC_THREADS set length, threads)\n\
      \x20 bench [flags]            full parallel sweep -> machine-readable JSON\n\
      \x20                          (--threads N  --len N  --out FILE\n\
      \x20                          --journal FILE   checkpoint cells as they finish\n\
@@ -1262,7 +1258,7 @@ fn usage() -> String {
      \n\
      flags: --core small|medium|big  --sched baseline|redsoc|mos  --len N\n\
      \x20      --mem-model classic|contended  (memory hierarchy: fixed-latency\n\
-     \x20      vs MSHR/port/DRAM-bandwidth-limited; run, trace, compare, sweep, bench)\n\
+     \x20      vs MSHR/port/DRAM-bandwidth-limited; run, trace, compare, bench)\n\
      exit codes: 0 ok, 1 io/mismatch, 2 usage, 3 simulator error, 4 partial sweep"
         .to_string()
 }
@@ -1274,7 +1270,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
+        Some("report") => cmd_report(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),

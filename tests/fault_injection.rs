@@ -236,7 +236,8 @@ fn cli_maps_errors_to_structured_exit_codes() {
     let cases: &[&[&str]] = &[
         &["run", "nosuchbench"],
         &["trace", "crc", "--len", "50", "--format", "nope"],
-        &["sweep", "crc", "--len", "50", "--knob", "nope"],
+        // `report` reads its trace length from REDSOC_TRACE_LEN only.
+        &["report", "--len", "5"],
         &["bench", "--bogus", "1"],
         &["bench", "--resume", "a.jnl", "--journal", "b.jnl"],
         &["bench", "--job-timeout", "0"],
@@ -328,6 +329,24 @@ fn sweepcmp_rejects_non_json_input_as_usage_error() {
     assert!(
         stderr.contains("notes.txt") && !stderr.contains("panicked"),
         "error names the offending file without panicking: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sweepcmp_rejects_deeply_nested_input_as_usage_error() {
+    // 200,000 `[` once overflowed the parser's stack (exit 134). Past the
+    // nesting cap it is just another non-JSON file: exit 2.
+    let dir = tmp_dir("sweepcmp-nested");
+    let nested = dir.join("nested.json");
+    std::fs::write(&nested, "[".repeat(200_000)).expect("write fixture");
+    let path = nested.display().to_string();
+    let out = run(redsoc().args(["sweepcmp", &path, &path]));
+    assert_eq!(exit_code(&out), 2, "nested input is a usage error: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nesting deeper than"),
+        "error names the cap: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,6 +1,6 @@
 //! Shape-level checks of the paper's headline claims, at reduced trace
-//! lengths so they run in CI time. `EXPERIMENTS.md` records the full-scale
-//! numbers.
+//! lengths so they run in CI time. `RESULTS.json` holds the full-scale
+//! numbers, and `EXPERIMENTS.md` renders them.
 //!
 //! NOTE on the seed's red suite: this file was failing in the seed only
 //! because the workspace could not build at all offline (the `rand` /
@@ -172,7 +172,6 @@ fn width_prediction_aggressive_rate_is_small() {
 fn three_bits_of_ci_precision_suffice() {
     let trace = Benchmark::Bitcnt.trace(LEN);
     let core = CoreConfig::big();
-    let base = simulate(trace.iter().copied(), core.clone()).expect("baseline");
     let mut cycles = Vec::new();
     for bits in [2u8, 3, 6] {
         let mut s = SchedulerConfig::redsoc();
@@ -181,7 +180,6 @@ fn three_bits_of_ci_precision_suffice() {
         let rep = simulate(trace.iter().copied(), core.clone().with_sched(s)).expect("run");
         cycles.push(rep.cycles);
     }
-    let _ = base;
     let c3 = cycles[1] as f64;
     let c6 = cycles[2] as f64;
     assert!(
