@@ -86,14 +86,14 @@ fn bench_engine() {
     let serial_cache = TraceCache::new(LEN);
     let serial = bench("sweep_16x1x2_serial", LEN * benches.len() as u64, || {
         run_grid(&serial_cache, &benches, &cores()[..1], &modes, 1)
-            .rows()
+            .cells()
             .len()
     });
-    let threads = redsoc_bench::threads();
+    let threads = redsoc_bench::threads().expect("REDSOC_THREADS");
     let parallel_cache = TraceCache::new(LEN);
     let parallel = bench("sweep_16x1x2_parallel", LEN * benches.len() as u64, || {
         run_grid(&parallel_cache, &benches, &cores()[..1], &modes, threads)
-            .rows()
+            .cells()
             .len()
     });
     if parallel > 0.0 {

@@ -10,7 +10,7 @@ fn main() {
         .into_iter()
         .find(|b| b.name().eq_ignore_ascii_case(&name))
         .expect("unknown benchmark");
-    let cache = TraceCache::new(trace_len());
+    let cache = TraceCache::new(trace_len().expect("REDSOC_TRACE_LEN"));
     let trace = cache.get(bench);
     let run = |s| {
         simulate(trace.iter().copied(), CoreConfig::big().with_sched(s))

@@ -4,13 +4,16 @@
 //! variant) grid. This module defines the vocabulary — [`Mode`],
 //! [`Variant`], [`Job`], [`Cell`], [`Grid`] — and the canonical JSON
 //! report ([`sweep_json`] / [`canonicalize_sweep`]); the
-//! [`runner`](crate::runner) module owns execution.
+//! [`runner`](crate::runner) module owns execution. Every speedup,
+//! the TS comparator's wall-clock ratio included, is computed from cell
+//! summaries by [`Grid::speedup`] when a document is written, so no cell
+//! depends on another.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use redsoc_core::config::{CoreConfig, SchedulerConfig};
-use redsoc_core::sched::ts::TsResult;
+use redsoc_core::sched::ts::ts_speedup;
 use redsoc_core::stats::SimReport;
 use redsoc_workloads::Benchmark;
 
@@ -28,7 +31,8 @@ pub enum Mode {
     Redsoc,
     /// The MOS operation-fusion comparator.
     Mos,
-    /// The timing-speculation comparator (derived from the baseline run).
+    /// The timing-speculation comparator: the baseline scheduler under a
+    /// shortened clock.
     Ts,
 }
 
@@ -160,8 +164,9 @@ impl Job {
         }
     }
 
-    /// The job's scheduler configuration (`None` for the analytical TS
-    /// mode).
+    /// The job's scheduler configuration (`None` for TS, whose core
+    /// configuration [`ts_config`](redsoc_core::sched::ts::ts_config)
+    /// derives from the trace).
     #[must_use]
     pub fn sched(&self) -> Option<SchedulerConfig> {
         let sched = match self.mode {
@@ -189,51 +194,9 @@ impl Job {
     }
 }
 
-/// What a job produced: a full simulation report, or a TS analysis.
-/// The report is boxed: `SimReport` is an order of magnitude larger than
-/// `TsResult`, and grids hold hundreds of these.
-#[derive(Debug, Clone)]
-pub enum JobOutput {
-    /// Cycle-level simulation result.
-    Sim(Box<SimReport>),
-    /// Timing-speculation analysis result.
-    Ts(TsResult),
-}
-
-/// A completed job with its measured wall-clock time.
-#[derive(Debug, Clone)]
-pub struct JobResult {
-    /// The job that ran.
-    pub job: Job,
-    /// Wall-clock time of this job on its worker thread.
-    pub wall: Duration,
-    /// The result payload.
-    pub output: JobOutput,
-}
-
-impl JobResult {
-    /// Simulated cycles.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        match &self.output {
-            JobOutput::Sim(r) => r.cycles,
-            JobOutput::Ts(t) => t.cycles,
-        }
-    }
-
-    /// The simulation report, if this was a simulator job.
-    #[must_use]
-    pub fn report(&self) -> Option<&SimReport> {
-        match &self.output {
-            JobOutput::Sim(r) => Some(r),
-            JobOutput::Ts(_) => None,
-        }
-    }
-}
-
 /// Why a cell failed, with the post-mortem pipeline dump captured from
-/// the run's [`RingSink`](redsoc_core::events::RingSink) (empty for
-/// panicking or analytical jobs).
+/// the run's [`RingSink`](redsoc_core::events::RingSink) (empty when the
+/// failure happened outside a run, such as a panic).
 #[derive(Debug, Clone)]
 pub struct CellFailure {
     /// The classified error.
@@ -251,22 +214,17 @@ pub struct Cell {
     pub job: Job,
     /// Terminal status.
     pub status: JobStatus,
-    /// Attempts made (0 only for cells that never ran: restored cells
-    /// keep the attempt count journaled when they originally ran, and
-    /// dependency-failed cells are rejected before their first attempt).
+    /// Attempts made (restored cells keep the attempt count journaled
+    /// when they originally ran).
     pub attempts: u32,
     /// Restored from a resume journal instead of executed.
     pub restored: bool,
-    /// Total *scheduled* retry backoff across the cell's attempts — the
-    /// deterministic sum of planned delays (`Σ backoff(n)`), never the
-    /// elapsed sleep time, so it is identical across machines for
-    /// identical retry histories (journaled value for restored cells).
-    pub retry_backoff: Duration,
     /// Wall-clock of this cell (journaled value for restored cells).
     pub wall: Duration,
-    /// Full in-process result — present only for cells executed
-    /// successfully in this process (what the report's counters read).
-    pub result: Option<JobResult>,
+    /// Full simulator report — present only for cells executed
+    /// successfully on a thread of this process (what the report's
+    /// counters read).
+    pub report: Option<Box<SimReport>>,
     /// Row summary — present for every successful cell, fresh or
     /// restored (what the sweep JSON consumes).
     pub summary: Option<CellSummary>,
@@ -343,30 +301,20 @@ impl Grid {
 
     /// Speedup of one cell over the default-variant baseline of its
     /// benchmark × core, computed from cell summaries (works for restored
-    /// cells too); `None` when either cell is unsuccessful.
+    /// cells too); `None` when either cell is unsuccessful or the grid
+    /// has no such baseline.
     #[must_use]
     pub fn speedup(&self, cell: &Cell) -> Option<f64> {
-        match cell.summary.as_ref()? {
-            // TS carries its own wall-clock-corrected speedup (shorter
-            // cycles at a shorter clock period).
-            CellSummary::Ts { speedup, .. } => Some(*speedup),
-            CellSummary::Sim { cycles, .. } => {
-                let job = &cell.job;
-                let base_key = (job.bench, job.core_name, Mode::Baseline, Variant::default());
-                let base = self.cells.get(&base_key)?.summary.as_ref()?;
-                Some(base.cycles() as f64 / *cycles as f64)
-            }
-        }
-    }
-
-    /// All in-process results in deterministic (benchmark, core, mode)
-    /// sweep order (successful fresh cells only).
-    #[must_use]
-    pub fn rows(&self) -> Vec<&JobResult> {
-        self.cells()
-            .into_iter()
-            .filter_map(|c| c.result.as_ref())
-            .collect()
+        let job = &cell.job;
+        let base_key = (job.bench, job.core_name, Mode::Baseline, Variant::default());
+        let base = self.cells.get(&base_key)?.summary.as_ref()?.cycles();
+        Some(match cell.summary.as_ref()? {
+            // TS runs at a shorter clock: compare wall-clock time.
+            CellSummary::Ts {
+                cycles, clock_ps, ..
+            } => ts_speedup(base, *cycles, *clock_ps),
+            CellSummary::Sim { cycles, .. } => base as f64 / *cycles as f64,
+        })
     }
 
     /// Sum of per-job wall-clock — the serial-equivalent compute time
@@ -385,11 +333,11 @@ impl Grid {
 /// `restored`), and — for successful cells — simulated `cycles`,
 /// committed instruction count, `ipc`, per-job `wall_seconds`,
 /// `speedup_over_baseline` (1.0 for baseline rows by construction; TS
-/// rows carry the clock-corrected TS speedup; `null` when the baseline
-/// cell failed), and a `stalls` object of per-cause cycle counters whose
-/// values sum to `cycles` (`null` for TS rows, which are analytical and
-/// have no pipeline). TS rows report the committed count of their
-/// matching baseline run, since TS replays the same trace. Failed cells
+/// rows compare wall-clock time at their shortened clock; `null` when
+/// the baseline cell failed or is not in the grid), and a `stalls` object
+/// of per-cause cycle counters whose values sum to `cycles`. TS simulates
+/// the pipeline under a rescaled clock, but its rows keep `stalls: null`
+/// so documents stay compatible with earlier builds. Failed cells
 /// carry `null` metrics plus an `error` record (`kind`, `message`, and
 /// the recent pipeline events captured at the point of failure), so a
 /// partial grid is a well-formed document rather than a crash. A
@@ -464,15 +412,6 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
             if let Some(memory) = memory {
                 fields.push(("memory", memory));
             }
-            // Scheduled (not elapsed) retry delay; emitted only when the
-            // cell actually retried, so clean sweeps — including the
-            // committed golden fixture — keep their exact key set.
-            if !c.retry_backoff.is_zero() {
-                fields.push((
-                    "retry_backoff_ms",
-                    Json::num(c.retry_backoff.as_millis() as f64),
-                ));
-            }
             fields.push(("error", error));
             Json::obj(fields)
         })
@@ -500,11 +439,10 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
 /// Canonicalise a sweep document for comparison: wall-clock fields
 /// (`wall_seconds`, `cpu_seconds`) and the worker-thread count are
 /// measurement environment rather than simulation output, and
-/// `restored`, `attempts`, and `retry_backoff_ms` are recovery
-/// provenance (how many tries the environment cost, not what the
-/// simulation computed), so they are neutralised recursively
-/// (`attempts` to 1, `retry_backoff_ms` dropped — it is only emitted
-/// when retries happened). Two canonicalised documents from the same
+/// `restored` and `attempts` are recovery provenance (how many tries the
+/// environment cost, not what the simulation computed), so they are
+/// neutralised recursively (`attempts` to 1). Two canonicalised
+/// documents from the same
 /// grid — uninterrupted, crashed-and-resumed, kill-stormed under
 /// process isolation, or run at different parallelism — must be
 /// byte-identical.
@@ -513,7 +451,6 @@ pub fn canonicalize_sweep(doc: &Json) -> Json {
     match doc {
         Json::Obj(map) => Json::Obj(
             map.iter()
-                .filter(|(k, _)| k.as_str() != "retry_backoff_ms")
                 .map(|(k, v)| {
                     let v = match k.as_str() {
                         "wall_seconds" | "cpu_seconds" => Json::Num(0.0),
@@ -620,9 +557,8 @@ mod tests {
             status: JobStatus::Ok,
             attempts: 1,
             restored: false,
-            retry_backoff: Duration::ZERO,
             wall: Duration::ZERO,
-            result: None,
+            report: None,
             summary: Some(CellSummary::Sim {
                 cycles,
                 committed: 50,
@@ -694,12 +630,11 @@ mod tests {
 
     #[test]
     fn canonicalize_neutralises_recovery_provenance() {
-        // A row that retried (attempts 2, scheduled backoff present) must
-        // canonicalise identically to the same row run clean (attempts 1,
-        // no backoff key at all): retries are environment, not results.
+        // A row that retried (attempts 2) must canonicalise identically
+        // to the same row run clean (attempts 1): retries are
+        // environment, not results.
         let retried = Json::obj(vec![
             ("attempts", Json::Num(2.0)),
-            ("retry_backoff_ms", Json::Num(25.0)),
             ("cycles", Json::Num(10.0)),
         ]);
         let clean = Json::obj(vec![
@@ -707,50 +642,5 @@ mod tests {
             ("cycles", Json::Num(10.0)),
         ]);
         assert_eq!(canonicalize_sweep(&retried), canonicalize_sweep(&clean));
-    }
-
-    #[test]
-    fn sweep_json_emits_retry_backoff_only_when_nonzero() {
-        use crate::supervisor::JobStatus;
-        let job = Job {
-            bench: Benchmark::Bitcnt,
-            core_name: "BIG",
-            core: CoreConfig::big(),
-            mode: Mode::Baseline,
-            variant: Variant::default(),
-        };
-        let mut cell = Cell {
-            job,
-            status: JobStatus::Ok,
-            attempts: 1,
-            restored: false,
-            retry_backoff: Duration::ZERO,
-            wall: Duration::from_millis(5),
-            result: None,
-            summary: Some(CellSummary::Sim {
-                cycles: 100,
-                committed: 50,
-                stalls: [0; 10],
-                memory: None,
-            }),
-            failure: None,
-        };
-        let grid_of = |cell: &Cell| Grid {
-            cells: HashMap::from([(cell.job.cell_key(), cell.clone())]),
-            wall: Duration::ZERO,
-            threads: 1,
-        };
-        let row = |g: &Grid| sweep_json(g, 100).get("jobs").unwrap().as_arr().unwrap()[0].clone();
-        assert_eq!(
-            row(&grid_of(&cell)).get("retry_backoff_ms"),
-            None,
-            "clean cells must not grow a new key (golden-fixture stability)"
-        );
-        cell.attempts = 3;
-        cell.retry_backoff = Duration::from_millis(75);
-        assert_eq!(
-            row(&grid_of(&cell)).get("retry_backoff_ms"),
-            Some(&Json::Num(75.0))
-        );
     }
 }

@@ -21,8 +21,10 @@
 //! - a **corrupt line** drops itself and everything after it (later
 //!   records may depend on state the corruption hides). Corrupt means not
 //!   UTF-8, not JSON, or not a well-formed record — including a
-//!   `wall_seconds` no [`Duration`] can hold and a line of unknown
-//!   `kind`, such as the in-flight `snapshot` lines older builds wrote;
+//!   `wall_seconds` no [`Duration`] can hold, a line of unknown `kind`,
+//!   such as the in-flight `snapshot` lines older builds wrote, and a TS
+//!   line without `clock_ps`. Older builds journaled every TS line after
+//!   every simulator line, so their simulator cells still resume;
 //! - a record whose **digest** does not match the current configuration
 //!   (different trace length, core table, scheduler tuning, or code
 //!   version) is ignored at lookup time, forcing a fresh run of that cell.
@@ -58,7 +60,9 @@ pub struct JournalRecord {
     pub digest: String,
     /// Attempts the job took when it originally ran (1 = first try).
     pub attempts: u32,
-    /// Scheduled (not elapsed) retry backoff summed across attempts, ms.
+    /// Ignored: retries no longer back off, so this is neither written
+    /// nor read (a parsed record holds 0). It remains only so that
+    /// existing struct literals keep compiling, and will be removed.
     pub backoff_ms: u64,
     /// Wall-clock seconds the job took when it originally ran.
     pub wall_seconds: f64,
@@ -76,10 +80,6 @@ impl JournalRecord {
             ("attempts", Json::num(f64::from(self.attempts))),
             ("wall_seconds", Json::Num(self.wall_seconds)),
         ];
-        // Only when retries happened: clean-run lines stay byte-identical.
-        if self.backoff_ms > 0 {
-            pairs.push(("backoff_ms", Json::num(self.backoff_ms as f64)));
-        }
         match &self.summary {
             CellSummary::Sim {
                 cycles,
@@ -116,12 +116,12 @@ impl JournalRecord {
             CellSummary::Ts {
                 cycles,
                 committed,
-                speedup,
+                clock_ps,
             } => {
                 pairs.push(("kind", Json::str("ts")));
                 pairs.push(("cycles", Json::num(*cycles as f64)));
                 pairs.push(("committed", Json::num(*committed as f64)));
-                pairs.push(("speedup", Json::Num(*speedup)));
+                pairs.push(("clock_ps", Json::num(f64::from(*clock_ps))));
             }
         }
         Json::obj(pairs)
@@ -147,7 +147,6 @@ impl JournalRecord {
         let key = str_field("key")?;
         let digest = str_field("digest")?;
         let attempts = num_field("attempts")? as u32;
-        let backoff_ms = doc.get("backoff_ms").and_then(Json::as_num).unwrap_or(0.0) as u64;
         let wall_seconds = num_field("wall_seconds")?;
         if Duration::try_from_secs_f64(wall_seconds).is_err() {
             return Err(format!("wall_seconds {wall_seconds} is not a duration"));
@@ -193,10 +192,15 @@ impl JournalRecord {
                     memory,
                 }
             }
+            // Older builds journaled a TS `speedup` and no `clock_ps`;
+            // such a line is corrupt here, so the cell re-runs.
             "ts" => CellSummary::Ts {
                 cycles,
                 committed,
-                speedup: num_field("speedup")?,
+                clock_ps: match num_field("clock_ps")? as u32 {
+                    0 => return Err("clock_ps must be positive".into()),
+                    ps => ps,
+                },
             },
             other => return Err(format!("unknown record kind {other:?}")),
         };
@@ -204,7 +208,7 @@ impl JournalRecord {
             key,
             digest,
             attempts,
-            backoff_ms,
+            backoff_ms: 0,
             wall_seconds,
             summary,
         })
@@ -419,19 +423,19 @@ mod tests {
         let path = tmp("roundtrip");
         let j = Journal::create(&path).expect("create");
         j.append(&rec("a/BIG/redsoc", "d1", 100)).expect("append");
-        j.append(&JournalRecord {
+        let ts = JournalRecord {
             key: "a/BIG/ts".into(),
             digest: "d2".into(),
             attempts: 2,
-            backoff_ms: 75,
+            backoff_ms: 0,
             wall_seconds: 0.5,
             summary: CellSummary::Ts {
                 cycles: 80,
                 committed: 50,
-                speedup: 1.25,
+                clock_ps: 460,
             },
-        })
-        .expect("append");
+        };
+        j.append(&ts).expect("append");
         drop(j);
 
         let j = Journal::resume(&path).expect("resume");
@@ -443,13 +447,7 @@ mod tests {
                 .cycles(),
             100
         );
-        assert!(matches!(
-            j.lookup("a/BIG/ts", "d2").expect("hit").summary,
-            CellSummary::Ts { speedup, .. } if (speedup - 1.25).abs() < 1e-12
-        ));
-        assert_eq!(j.lookup("a/BIG/ts", "d2").expect("hit").backoff_ms, 75);
-        // An absent backoff field parses as zero.
-        assert_eq!(j.lookup("a/BIG/redsoc", "d1").expect("hit").backoff_ms, 0);
+        assert_eq!(j.lookup("a/BIG/ts", "d2"), Some(&ts));
         std::fs::remove_file(&path).ok();
     }
 
@@ -572,6 +570,37 @@ mod tests {
             resume_with_middle_line("legacy-snapshot", legacy),
             ["a/BIG/redsoc"]
         );
+    }
+
+    #[test]
+    fn older_ts_lines_re_run_and_their_simulator_lines_resume() {
+        // Lines verbatim from a len-2000 `bench --journal` of the build
+        // before TS cells journaled their clock: the simulator lines come
+        // first, then a TS line with a `speedup` and no `clock_ps`.
+        let older = [
+            r#"{"attempts": 1,"committed": 5639,"cycles": 7105,"digest": "86b0d1461602f1e7","key": "crc/BIG/baseline","kind": "sim","stalls": {"busy": 3073,"exec_latency": 2,"frontend": 6,"fu_contention": 0,"lsq_full": 0,"memory": 4024,"mshr": 0,"rob_full": 0,"rs_full": 0,"slack_hold": 0},"wall_seconds": 0.002282627}"#,
+            r#"{"attempts": 1,"committed": 5639,"cycles": 6099,"digest": "53efb513e3129b27","key": "crc/BIG/redsoc","kind": "sim","stalls": {"busy": 2067,"exec_latency": 2,"frontend": 6,"fu_contention": 0,"lsq_full": 0,"memory": 4024,"mshr": 0,"rob_full": 0,"rs_full": 0,"slack_hold": 0},"wall_seconds": 0.007379457}"#,
+            r#"{"attempts": 1,"committed": 5639,"cycles": 7839,"digest": "680b1d362bf5487c","key": "crc/BIG/ts","kind": "ts","speedup": 1.0070728976201613,"wall_seconds": 0.002340958}"#,
+        ];
+        let path = tmp("older-ts");
+        std::fs::write(&path, older.map(|l| format!("{l}\n")).concat()).expect("write");
+        let j = Journal::resume(&path).expect("resume");
+        let mut keys: Vec<&String> = j.restored().keys().collect();
+        keys.sort();
+        assert_eq!(keys, ["crc/BIG/baseline", "crc/BIG/redsoc"]);
+        let base = j
+            .lookup("crc/BIG/baseline", "86b0d1461602f1e7")
+            .expect("simulator line restored");
+        assert_eq!(base.summary.cycles(), 7105);
+        assert_eq!(base.summary.stalls().map(|s| s[0]), Some(3073));
+        assert!(j.lookup("crc/BIG/ts", "680b1d362bf5487c").is_none());
+        drop(j);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("reread"),
+            format!("{}\n{}\n", older[0], older[1]),
+            "the TS line is truncated away, so the cell re-runs"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

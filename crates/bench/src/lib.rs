@@ -19,7 +19,7 @@
 //!   document with the per-cell counters the figures need, and the
 //!   renderers of every figure, table and ablation;
 //! - [`supervisor`] — the job supervisor: `catch_unwind` isolation, the
-//!   structured `JobError` taxonomy, bounded deterministic retries,
+//!   structured `JobError` taxonomy, bounded immediate retries,
 //!   quarantine, and the fault-injection plan used by the crash tests;
 //! - [`journal`] — the append-only JSONL checkpoint behind
 //!   `redsoc bench --resume`: completed cells survive a mid-sweep crash
@@ -60,26 +60,44 @@ use redsoc_workloads::{BenchClass, Benchmark};
 /// `REDSOC_TRACE_LEN`.
 pub const DEFAULT_TRACE_LEN: u64 = 300_000;
 
-/// Trace length, honouring the `REDSOC_TRACE_LEN` environment variable.
-#[must_use]
-pub fn trace_len() -> u64 {
-    std::env::var("REDSOC_TRACE_LEN")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_TRACE_LEN)
+/// The positive integer in environment variable `var`, or `default()`
+/// when the variable is unset.
+fn env_count<T: std::str::FromStr + PartialEq + From<u8>>(
+    var: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, String> {
+    match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => Ok(default()),
+        Ok(s) => s
+            .parse()
+            .ok()
+            .filter(|n| *n != T::from(0))
+            .ok_or_else(|| format!("{var}={s:?} is not a positive integer")),
+        Err(e) => Err(format!("{var}: {e}")),
+    }
 }
 
-/// Worker-thread count for the parallel runner: `REDSOC_THREADS` when set
-/// (clamped to at least 1), otherwise the machine's available parallelism.
-#[must_use]
-pub fn threads() -> usize {
-    std::env::var("REDSOC_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+/// Trace length: `REDSOC_TRACE_LEN` when set, else [`DEFAULT_TRACE_LEN`].
+///
+/// # Errors
+///
+/// A set `REDSOC_TRACE_LEN` that is not a positive integer (the message
+/// names the variable).
+pub fn trace_len() -> Result<u64, String> {
+    env_count("REDSOC_TRACE_LEN", || DEFAULT_TRACE_LEN)
+}
+
+/// Worker-thread count for the parallel runner: `REDSOC_THREADS` when
+/// set, otherwise the machine's available parallelism.
+///
+/// # Errors
+///
+/// A set `REDSOC_THREADS` that is not a positive integer (the message
+/// names the variable).
+pub fn threads() -> Result<usize, String> {
+    env_count("REDSOC_THREADS", || {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// The three Table I cores with their display names.

@@ -339,7 +339,7 @@ impl Drop for WorkerHandle {
 thread_local! {
     /// This thread's worker slot. Sweep threads are scoped, so the TLS
     /// destructor (→ [`WorkerHandle::drop`]) reaps the child when the
-    /// wave's threads exit.
+    /// sweep's threads exit.
     static WORKER: std::cell::RefCell<Option<WorkerHandle>> =
         const { std::cell::RefCell::new(None) };
 }

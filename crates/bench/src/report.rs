@@ -15,7 +15,7 @@ use redsoc_core::stats::{OpCategory, SimReport};
 use redsoc_workloads::Benchmark;
 
 use crate::cores;
-use crate::grid::{sweep_json, Grid, Job, JobResult, Mode, Variant};
+use crate::grid::{sweep_json, Grid, Job, Mode, Variant};
 use crate::json::Json;
 
 mod render;
@@ -135,9 +135,10 @@ fn counters(rep: &SimReport) -> Json {
 }
 
 /// The results document: [`sweep_json`] of `grid`, with a `counters`
-/// object on every simulator row that ran in this process. Only the
+/// object on every non-TS row that ran in this process. Only the
 /// report's rows carry counters; `redsoc bench` rows, journal lines and
-/// worker frames do not.
+/// worker frames do not. TS rows carry none, like their `stalls: null`,
+/// so documents stay compatible with earlier builds.
 #[must_use]
 pub fn results_json(grid: &Grid, trace_len: u64) -> Json {
     let mut doc = sweep_json(grid, trace_len);
@@ -145,7 +146,7 @@ pub fn results_json(grid: &Grid, trace_len: u64) -> Json {
         if let Some(Json::Arr(rows)) = top.get_mut("jobs") {
             // `sweep_json` emits one row per cell, in `Grid::cells` order.
             for (row, cell) in rows.iter_mut().zip(grid.cells()) {
-                let report = cell.result.as_ref().and_then(JobResult::report);
+                let report = cell.report.as_deref().filter(|_| cell.job.mode != Mode::Ts);
                 if let (Json::Obj(fields), Some(rep)) = (row, report) {
                     fields.insert("counters".to_string(), counters(rep));
                 }

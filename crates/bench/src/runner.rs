@@ -1,40 +1,40 @@
 //! Fault-tolerant parallel experiment runner.
 //!
 //! A sweep is a set of independent simulation **jobs** — one per
-//! (benchmark × core × scheduler mode). [`simulate`](redsoc_core::pipeline::simulate) takes owned inputs
-//! and the trace cache hands out shared `Arc<[DynOp]>` traces, so jobs fan
-//! out across a scoped thread pool with no synchronisation beyond an
-//! atomic work index. Results land in per-job slots, so the output order
-//! (and every per-job statistic) is identical to a serial run — the pool
-//! only changes wall-clock, never results.
+//! (benchmark × core × scheduler mode × variant). A [`Simulator`] takes
+//! owned inputs and the trace cache hands out shared `Arc<[DynOp]>`
+//! traces, so jobs fan out across a scoped thread pool with no
+//! synchronisation beyond an atomic work index. Results land in per-job
+//! slots, so the output order (and every per-job statistic) is identical
+//! to a serial run — the pool only changes wall-clock, never results.
 //!
 //! Every job runs under the [`supervisor`](crate::supervisor): the body
 //! executes inside `catch_unwind`, failures are classified into the
-//! structured [`JobError`] taxonomy, transient failures retry with
-//! deterministic backoff, a cooperative cycle-budget watchdog
-//! ([`CancelToken`]) bounds runaway jobs, and a failing job degrades to
-//! one `failed`/`timeout`/`quarantined` **cell** of the grid instead of
+//! structured [`JobError`] taxonomy, transient failures retry at once up
+//! to a bound, a cooperative cycle-budget watchdog ([`CancelToken`])
+//! bounds runaway jobs, and a failing job degrades to one
+//! `failed`/`timeout`/`quarantined` **cell** of the grid instead of
 //! aborting the sweep. Completed cells are checkpointed to an
 //! append-only [`Journal`] as they finish, and a
 //! resumed sweep restores them instead of re-running.
 //!
-//! The TS comparator needs the matching baseline cycle count, so grids
-//! that include [`Mode::Ts`] run in two waves: all simulator modes first,
-//! then the TS analyses (each wave fully parallel). A TS cell whose
-//! baseline failed is marked failed with a `dependency` error rather
-//! than run on garbage.
+//! There is one kind of cell. A [`Mode::Ts`] cell picks its shortened
+//! clock from the trace and simulates the rescaled core through the same
+//! attempt as every other cell; its speedup over the baseline is a
+//! division [`Grid::speedup`] does when the document is written, like
+//! every other speedup. No job depends on another, so a sweep runs the
+//! requested jobs in one parallel wave.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use redsoc_core::config::{CoreConfig, SchedulerConfig};
+use redsoc_core::config::CoreConfig;
 use redsoc_core::events::RingSink;
 use redsoc_core::pipeline::{CancelToken, SimError, Simulator};
-use redsoc_core::sched::ts::run_ts;
-use redsoc_core::stats::StallCause;
+use redsoc_core::sched::ts::{ts_config, TsScheduler};
+use redsoc_core::stats::{SimReport, StallCause};
 use redsoc_isa::instruction::Instr;
 use redsoc_isa::opcode::AluOp;
 use redsoc_isa::operand::Operand2;
@@ -42,7 +42,6 @@ use redsoc_isa::program::r;
 use redsoc_isa::trace::DynOp;
 use redsoc_workloads::Benchmark;
 
-use crate::grid::CellKey;
 use crate::journal::{Journal, JournalRecord};
 use crate::pool::{self, WorkerPoolConfig};
 use crate::supervisor::{
@@ -52,8 +51,7 @@ use crate::worker::JobSpec;
 use crate::TraceCache;
 
 pub use crate::grid::{
-    canonicalize_sweep, sweep_json, Cell, CellFailure, Grid, Job, JobOutput, JobResult, Mode,
-    Variant,
+    canonicalize_sweep, sweep_json, Cell, CellFailure, Grid, Job, Mode, Variant,
 };
 
 /// Run `f` over `items` on `threads` worker threads, preserving item
@@ -149,7 +147,7 @@ fn classify_sim_error(
 /// Condense a finished simulator report into the journaled cell summary.
 /// The memory sub-summary is present only for contention-modelling memory
 /// models, so classic jobs journal and render exactly as before.
-fn sim_summary(job: &Job, report: &redsoc_core::stats::SimReport) -> CellSummary {
+fn sim_summary(job: &Job, report: &SimReport) -> CellSummary {
     use redsoc_mem::MemModelConfig;
     let memory = (job.core.mem_model != MemModelConfig::Classic).then(|| MemSummary {
         model: job.core.mem_model.label().to_string(),
@@ -187,70 +185,6 @@ fn with_watchdog(
     sim.with_cancel(token)
 }
 
-/// One attempt of a simulator-mode job (never [`Mode::Ts`]).
-fn sim_attempt(
-    cache: &TraceCache,
-    job: &Job,
-    sched: SchedulerConfig,
-    sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
-) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
-    let trace = cache.get(job.bench);
-    let config = job.core.clone().with_sched(sched);
-    let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
-    let sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
-    match with_watchdog(sim, sup, progress).run_events(trace.iter().copied(), &mut ring) {
-        Ok(report) => {
-            let summary = sim_summary(job, &report);
-            Ok((JobOutput::Sim(Box::new(report)), summary))
-        }
-        Err(e) => Err(classify_sim_error(e, sup.job_timeout_cycles, &ring)),
-    }
-}
-
-/// One attempt of the injected-hang fault: run the endless stream under
-/// the same watchdog a real job gets.
-fn hang_attempt(
-    job: &Job,
-    sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
-) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
-    let sched = job.sched().unwrap_or_else(SchedulerConfig::baseline);
-    let config = job.core.clone().with_sched(sched);
-    let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
-    let sim = Simulator::new(config).map_err(|e| (JobError::Sim(e), Vec::new()))?;
-    match with_watchdog(sim, sup, progress).run_events(endless_trace(), &mut ring) {
-        // Unreachable in practice: the stream never ends.
-        Ok(report) => {
-            let summary = sim_summary(job, &report);
-            Ok((JobOutput::Sim(Box::new(report)), summary))
-        }
-        Err(e) => Err(classify_sim_error(e, sup.job_timeout_cycles, &ring)),
-    }
-}
-
-/// One attempt of a TS job, given the measured baseline (cycles,
-/// committed).
-fn ts_attempt(
-    cache: &TraceCache,
-    job: &Job,
-    base: (u64, u64),
-) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
-    let (base_cycles, base_committed) = base;
-    let trace = cache.get(job.bench);
-    match run_ts(&trace, &job.core, base_cycles, 0.01) {
-        Ok(ts) => {
-            let summary = CellSummary::Ts {
-                cycles: ts.cycles,
-                committed: base_committed,
-                speedup: ts.speedup,
-            };
-            Ok((JobOutput::Ts(ts), summary))
-        }
-        Err(e) => Err((JobError::Sim(e), Vec::new())),
-    }
-}
-
 /// Where a cell's attempts execute.
 ///
 /// `Thread` is the classic in-process path: cheap, shared trace cache,
@@ -269,11 +203,15 @@ pub enum Isolation {
     Process(WorkerPoolConfig),
 }
 
-/// One supervised attempt body, shared verbatim between thread isolation
-/// (called on a sweep thread) and process isolation (called inside a
-/// `redsoc worker` child): fault injection, TS dispatch, and the
-/// simulator path. `progress` is published to from the [`CancelToken`]
-/// poll so a worker's heartbeat can carry the latest simulated cycle.
+/// One supervised attempt of any cell, shared verbatim between thread
+/// isolation (called on a sweep thread) and process isolation (called
+/// inside a `redsoc worker` child). After fault injection it builds the
+/// cell's simulator — a TS cell first picks its shortened clock and
+/// rescaled core with [`ts_config`] — attaches the cycle-budget watchdog,
+/// and runs the trace (the injected hang runs an endless stream instead)
+/// into a [`RingSink`] that supplies the post-mortem of a failed run.
+/// `progress` is published to from the [`CancelToken`] poll so a
+/// worker's heartbeat can carry the latest simulated cycle.
 ///
 /// The containable faults (`panic`/`fail`/`hang`) execute here under
 /// whichever isolation is active. The destructive faults
@@ -283,54 +221,57 @@ pub enum Isolation {
 pub(crate) fn attempt_with_faults(
     cache: &TraceCache,
     job: &Job,
-    ts_base: Option<(u64, u64)>,
     sup: &SupervisorConfig,
     attempt: u32,
     progress: Option<&Arc<AtomicU64>>,
-) -> Result<(JobOutput, CellSummary), (JobError, Vec<String>)> {
+) -> Result<(Box<SimReport>, CellSummary), (JobError, Vec<String>)> {
     let key = job.key();
-    match sup.faults.get(&key) {
+    let fault = sup.faults.get(&key);
+    match fault {
         Some(Fault::Panic { times }) if attempt <= times => {
             panic!("injected panic for {key} (attempt {attempt})")
         }
-        Some(Fault::Fail) => Err((
-            JobError::Sim(SimError::BadConfig(format!("injected failure for {key}"))),
-            Vec::new(),
-        )),
-        Some(Fault::Hang) => hang_attempt(job, sup, progress),
+        Some(Fault::Fail) => {
+            return Err((
+                JobError::Sim(SimError::BadConfig(format!("injected failure for {key}"))),
+                Vec::new(),
+            ))
+        }
         Some(fault @ (Fault::Abort | Fault::Oom | Fault::Freeze)) => {
             fatal_destructive_fault(&key, fault)
         }
-        _ => match (job.mode, ts_base) {
-            (Mode::Ts, Some(base)) => ts_attempt(cache, job, base),
-            (Mode::Ts, None) => Err(dependency_failed(job)),
-            (_, _) => match job.sched() {
-                Some(sched) => sim_attempt(cache, job, sched, sup, progress),
-                None => Err((
-                    JobError::Sim(SimError::BadConfig(format!(
-                        "mode {} has no scheduler",
-                        job.mode.label()
-                    ))),
-                    Vec::new(),
-                )),
-            },
+        _ => {}
+    }
+    let trace = cache.get(job.bench);
+    let (sim, clock_ps) = match job.sched() {
+        Some(sched) => (Simulator::new(job.core.clone().with_sched(sched)), None),
+        None => {
+            let (clock_ps, config) = ts_config(&trace, &job.core, 0.01);
+            let sim = Simulator::with_scheduler(config, Box::new(TsScheduler));
+            (sim, Some(clock_ps))
+        }
+    };
+    let sim = with_watchdog(
+        sim.map_err(|e| (JobError::Sim(e), Vec::new()))?,
+        sup,
+        progress,
+    );
+    let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
+    let run = if fault == Some(Fault::Hang) {
+        sim.run_events(endless_trace(), &mut ring)
+    } else {
+        sim.run_events(trace.iter().copied(), &mut ring)
+    };
+    let report = run.map_err(|e| classify_sim_error(e, sup.job_timeout_cycles, &ring))?;
+    let summary = match clock_ps {
+        Some(clock_ps) => CellSummary::Ts {
+            cycles: report.cycles,
+            committed: report.committed,
+            clock_ps,
         },
-    }
-}
-
-/// The error of a TS cell whose baseline cell failed.
-fn dependency_failed(job: &Job) -> (JobError, Vec<String>) {
-    let key = baseline_of(job).key();
-    (JobError::DependencyFailed { key }, Vec::new())
-}
-
-/// The default-variant baseline job a TS job measures against.
-fn baseline_of(job: &Job) -> Job {
-    Job {
-        mode: Mode::Baseline,
-        variant: Variant::default(),
-        ..job.clone()
-    }
+        None => sim_summary(job, &report),
+    };
+    Ok((Box::new(report), summary))
 }
 
 /// A destructive injected fault reached in-process: `catch_unwind`
@@ -355,7 +296,6 @@ fn job_spec(
     trace_len: u64,
     sup: &SupervisorConfig,
     attempt: u32,
-    ts_base: Option<(u64, u64)>,
 ) -> JobSpec {
     JobSpec {
         bench: job.bench.name().to_string(),
@@ -366,21 +306,19 @@ fn job_spec(
         digest: digest.to_string(),
         attempt,
         budget: sup.job_timeout_cycles,
-        ts_base,
+        ts_base: None,
         fault: sup.faults.get(&job.key()).map(Fault::spec),
     }
 }
 
 /// Execute one cell under supervision: journal restore, fault injection,
-/// `catch_unwind`, retries, and classification all happen here. `ts_base`
-/// carries the measured baseline for TS jobs. Under process isolation
-/// the attempt body runs in a pooled worker child instead of this
-/// thread; everything around it — restore, retries, journaling,
-/// classification — is identical.
+/// `catch_unwind`, retries, and classification all happen here. Under
+/// process isolation the attempt body runs in a pooled worker child
+/// instead of this thread; everything around it — restore, retries,
+/// journaling, classification — is identical.
 fn exec_cell(
     cache: &TraceCache,
     job: &Job,
-    ts_base: Option<(u64, u64)>,
     sup: &SupervisorConfig,
     journal: Option<&Journal>,
     isolation: &Isolation,
@@ -393,9 +331,8 @@ fn exec_cell(
             status: JobStatus::Ok,
             attempts: rec.attempts,
             restored: true,
-            retry_backoff: Duration::from_millis(rec.backoff_ms),
             wall: Duration::from_secs_f64(rec.wall_seconds.max(0.0)),
-            result: None,
+            report: None,
             summary: Some(rec.summary.clone()),
             failure: None,
         };
@@ -405,14 +342,10 @@ fn exec_cell(
     let last_events: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let supervised = supervise(sup, |attempt| {
         let outcome = match isolation {
-            Isolation::Thread => attempt_with_faults(cache, job, ts_base, sup, attempt, None)
-                .map(|(output, summary)| (Some(output), summary)),
+            Isolation::Thread => attempt_with_faults(cache, job, sup, attempt, None)
+                .map(|(report, summary)| (Some(report), summary)),
             Isolation::Process(cfg) => {
-                if job.mode == Mode::Ts && ts_base.is_none() {
-                    // No point shipping a TS cell whose baseline failed
-                    // to a worker; fail it parent-side like thread mode.
-                    Err(dependency_failed(job))
-                } else if !job.variant.is_default() {
+                if !job.variant.is_default() {
                     // The wire protocol names jobs by benchmark, core and
                     // mode only.
                     Err((
@@ -422,7 +355,7 @@ fn exec_cell(
                         Vec::new(),
                     ))
                 } else {
-                    let spec = job_spec(job, &digest, cache.target_len(), sup, attempt, ts_base);
+                    let spec = job_spec(job, &digest, cache.target_len(), sup, attempt);
                     pool::run_job_attempt(cfg, &spec).map(|summary| (None, summary))
                 }
             }
@@ -435,13 +368,13 @@ fn exec_cell(
     let wall = start.elapsed();
 
     match supervised.result {
-        Ok((output, summary)) => {
+        Ok((report, summary)) => {
             if let Some(j) = journal {
                 let rec = JournalRecord {
                     key,
                     digest,
                     attempts: supervised.attempts,
-                    backoff_ms: supervised.scheduled_backoff.as_millis() as u64,
+                    backoff_ms: 0,
                     wall_seconds: wall.as_secs_f64(),
                     summary: summary.clone(),
                 };
@@ -458,16 +391,11 @@ fn exec_cell(
                 status: JobStatus::Ok,
                 attempts: supervised.attempts,
                 restored: false,
-                retry_backoff: supervised.scheduled_backoff,
                 wall,
                 // Process isolation returns only the journaled summary
                 // (the parent never holds the full report); the report's
                 // counters need thread isolation.
-                result: output.map(|output| JobResult {
-                    job: job.clone(),
-                    wall,
-                    output,
-                }),
+                report,
                 summary: Some(summary),
                 failure: None,
             }
@@ -477,9 +405,8 @@ fn exec_cell(
             status: error.terminal_status(),
             attempts: supervised.attempts,
             restored: false,
-            retry_backoff: supervised.scheduled_backoff,
             wall,
-            result: None,
+            report: None,
             summary: None,
             failure: Some(CellFailure {
                 recent_events: std::mem::take(
@@ -496,8 +423,7 @@ fn exec_cell(
 /// [`Isolation`]; thread isolation is the default): failures degrade to
 /// per-cell statuses, the cycle-budget watchdog bounds each job, and
 /// completed cells checkpoint to `journal` (restored from it instead of
-/// re-run when their digest matches). Requesting [`Mode::Ts`] implies
-/// baseline runs (see [`run_jobs`]).
+/// re-run when their digest matches).
 #[must_use]
 #[allow(clippy::too_many_arguments)] // the supervised signature + one tier knob
 pub fn run_grid_isolated(
@@ -515,11 +441,10 @@ pub fn run_grid_isolated(
 }
 
 /// Run an explicit job list under full supervision — the engine behind
-/// [`run_grid_isolated`]. A [`Mode::Ts`] job implies the default-variant
-/// baseline of its benchmark × core, which is added when missing: TS
-/// picks its clock from the trace but reports speedup against the
-/// measured baseline cycle count, so TS jobs run in a second wave.
-/// Non-default [`Variant`] jobs need thread isolation.
+/// [`run_grid_isolated`]. Exactly the requested jobs run, in one
+/// parallel wave after trace pre-generation; a [`Mode::Ts`] cell's
+/// speedup is `null` unless the list also holds its default-variant
+/// baseline. Non-default [`Variant`] jobs need thread isolation.
 #[must_use]
 pub fn run_jobs(
     cache: &TraceCache,
@@ -530,14 +455,6 @@ pub fn run_jobs(
     isolation: &Isolation,
 ) -> Grid {
     let start = Instant::now();
-    let (ts_jobs, mut sim_jobs): (Vec<Job>, Vec<Job>) =
-        jobs.iter().cloned().partition(|j| j.mode == Mode::Ts);
-    for ts in &ts_jobs {
-        let base = baseline_of(ts);
-        if !sim_jobs.iter().any(|j| j.cell_key() == base.cell_key()) {
-            sim_jobs.push(base);
-        }
-    }
 
     // Pre-generate traces in parallel: distinct benchmarks don't contend.
     // A panicking generator is caught here and again — properly
@@ -558,41 +475,20 @@ pub fn run_jobs(
         });
     }
 
-    let cells = run_parallel(&sim_jobs, threads, |job| {
-        exec_cell(cache, job, None, sup, journal, isolation)
+    let cells = run_parallel(jobs, threads, |job| {
+        exec_cell(cache, job, sup, journal, isolation)
     });
-    let mut map: HashMap<CellKey, Cell> =
-        cells.into_iter().map(|c| (c.job.cell_key(), c)).collect();
-
-    if !ts_jobs.is_empty() {
-        // The measured baseline per TS job: `None` when the baseline cell
-        // failed, which fails the TS cell as a dependency.
-        let ts_work: Vec<(&Job, Option<(u64, u64)>)> = ts_jobs
-            .iter()
-            .map(|j| {
-                let base = map
-                    .get(&baseline_of(j).cell_key())
-                    .and_then(|c| c.summary.as_ref())
-                    .map(|s| (s.cycles(), s.committed()));
-                (j, base)
-            })
-            .collect();
-        let ts_cells = run_parallel(&ts_work, threads, |(job, base)| {
-            exec_cell(cache, job, *base, sup, journal, isolation)
-        });
-        map.extend(ts_cells.into_iter().map(|c| (c.job.cell_key(), c)));
-    }
 
     // Workers owned by scoped sweep threads shut down with their
-    // threads' TLS destructors at each wave's end; a worker owned by
-    // *this* thread (threads == 1, or single-item waves) is shut down
-    // here so no child outlives the sweep.
+    // threads' TLS destructors; a worker owned by *this* thread
+    // (threads == 1, or a single job) is shut down here so no child
+    // outlives the sweep.
     if matches!(isolation, Isolation::Process(_)) {
         pool::shutdown_local_worker();
     }
 
     Grid {
-        cells: map,
+        cells: cells.into_iter().map(|c| (c.job.cell_key(), c)).collect(),
         wall: start.elapsed(),
         threads,
     }
@@ -631,6 +527,7 @@ pub fn run_full_sweep(cache: &TraceCache, modes: &[Mode], threads: usize) -> Gri
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::supervisor::FaultPlan;
 
     #[test]
@@ -654,7 +551,7 @@ mod tests {
             &[Mode::Baseline, Mode::Redsoc],
             2,
         );
-        assert_eq!(grid.rows().len(), 4);
+        assert_eq!(grid.cells().len(), 4);
         assert!(grid.fully_ok());
         let redsoc = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Redsoc).unwrap();
         assert!(grid.speedup(redsoc).unwrap() > 1.0);
@@ -664,17 +561,71 @@ mod tests {
     }
 
     #[test]
-    fn ts_mode_pulls_in_baselines() {
+    fn ts_only_list_runs_exactly_the_requested_cells() {
         let cache = TraceCache::new(2_000);
         let benches = [Benchmark::Bitcnt];
         let cores = crate::cores();
         let grid = run_grid(&cache, &benches, &cores[..1], &[Mode::Ts], 2);
-        assert!(grid
-            .cell(Benchmark::Bitcnt, "BIG", Mode::Baseline)
-            .is_some());
+        assert_eq!(grid.cells().len(), 1, "no baseline is added");
         let ts = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Ts).unwrap();
-        let ts = grid.speedup(ts).unwrap();
-        assert!(ts.is_finite() && ts > 0.0);
+        assert!(ts.is_ok() && ts.report.is_some());
+        assert_eq!(grid.speedup(ts), None, "no baseline to compare with");
+    }
+
+    #[test]
+    fn ts_speedup_is_run_ts_bit_for_bit() {
+        use redsoc_core::sched::ts::run_ts;
+        let cache = TraceCache::new(2_000);
+        let benches = [Benchmark::Crc, Benchmark::Conv];
+        let (_, big) = &crate::cores()[0];
+        let grid = run_grid(
+            &cache,
+            &benches,
+            &crate::cores()[..1],
+            &[Mode::Baseline, Mode::Ts],
+            2,
+        );
+        for bench in benches {
+            let base = grid.cell(bench, "BIG", Mode::Baseline).unwrap();
+            let base_cycles = base.summary.as_ref().unwrap().cycles();
+            let ts = run_ts(&cache.get(bench), big, base_cycles, 0.01).unwrap();
+            let cell = grid.cell(bench, "BIG", Mode::Ts).unwrap();
+            assert_eq!(cell.summary.as_ref().unwrap().cycles(), ts.cycles);
+            assert_eq!(
+                grid.speedup(cell).unwrap().to_bits(),
+                ts.speedup.to_bits(),
+                "{}",
+                bench.name()
+            );
+        }
+    }
+
+    #[test]
+    fn ts_cells_run_under_the_cycle_budget() {
+        let cache = TraceCache::new(2_000);
+        let sup = SupervisorConfig {
+            job_timeout_cycles: Some(2_048),
+            ..SupervisorConfig::default()
+        };
+        let grid = run_grid_isolated(
+            &cache,
+            &[Benchmark::Crc],
+            &crate::cores()[..1],
+            &[Mode::Ts],
+            1,
+            &sup,
+            None,
+            &Isolation::Thread,
+        );
+        let ts = grid.cell(Benchmark::Crc, "BIG", Mode::Ts).unwrap();
+        assert_eq!(ts.status, JobStatus::Timeout);
+        assert_eq!(ts.attempts, 1, "timeouts are deterministic: no retry");
+        let failure = ts.failure.as_ref().unwrap();
+        assert_eq!(failure.error, JobError::Timeout { budget: 2_048 });
+        assert!(
+            !failure.recent_events.is_empty(),
+            "the ring sink supplies the post-mortem"
+        );
     }
 
     #[test]
@@ -682,7 +633,6 @@ mod tests {
         let cache = TraceCache::new(2_000);
         let sup = SupervisorConfig {
             max_retries: 1,
-            backoff_base: Duration::ZERO,
             faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic { times: 99 }),
             ..SupervisorConfig::default()
         };
@@ -733,11 +683,10 @@ mod tests {
     }
 
     #[test]
-    fn failed_baseline_fails_ts_as_a_dependency() {
+    fn failed_baseline_leaves_ts_ok_with_no_speedup() {
         let cache = TraceCache::new(2_000);
         let sup = SupervisorConfig {
             max_retries: 0,
-            backoff_base: Duration::ZERO,
             faults: FaultPlan::none().with("bitcnt/BIG/baseline", Fault::Fail),
             ..SupervisorConfig::default()
         };
@@ -745,14 +694,24 @@ mod tests {
             &cache,
             &[Benchmark::Bitcnt],
             &crate::cores()[..1],
-            &[Mode::Ts],
+            &[Mode::Baseline, Mode::Ts],
             1,
             &sup,
             None,
             &Isolation::Thread,
         );
+        let base = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Baseline).unwrap();
+        assert_eq!(base.status, JobStatus::Failed);
         let ts = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Ts).unwrap();
-        assert_eq!(ts.status, JobStatus::Failed);
-        assert_eq!(ts.failure.as_ref().unwrap().error.kind(), "dependency");
+        assert!(ts.is_ok(), "TS does not depend on the baseline cell");
+        assert_eq!(grid.speedup(ts), None);
+        let doc = sweep_json(&grid, 2_000);
+        let rows = doc.get("jobs").and_then(Json::as_arr).unwrap();
+        let row = rows
+            .iter()
+            .find(|r| r.get("mode") == Some(&Json::str("ts")))
+            .unwrap();
+        assert_eq!(row.get("status"), Some(&Json::str("ok")));
+        assert_eq!(row.get("speedup_over_baseline"), Some(&Json::Null));
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! A sweep cell runs under a **supervisor** ([`supervise`]): the job body
 //! executes inside `catch_unwind`, every failure is classified into a
-//! structured [`JobError`], transient failures (panics, poisoned state)
-//! are retried with deterministic exponential backoff, and jobs that keep
+//! structured [`JobError`], transient failures (panics, poisoned state,
+//! worker deaths) are retried at once, up to a bound, and jobs that keep
 //! failing are **quarantined** rather than allowed to abort the sweep.
+//! Retries do not sleep: no retried failure recovers with time, and a
+//! dead worker is replaced before the next attempt anyway.
 //! Deterministic failures — simulator errors and cycle-budget timeouts —
 //! fail fast: retrying a deterministic simulator reproduces the failure
 //! bit for bit, so the supervisor does not waste wall-clock on it.
@@ -18,7 +20,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use redsoc_core::pipeline::SimError;
 use redsoc_core::stats::StallCause;
@@ -41,12 +42,6 @@ pub enum JobError {
     },
     /// Shared state (a lock) was poisoned by another worker's panic.
     Poisoned,
-    /// A job this one depends on (the TS comparator's baseline) did not
-    /// complete successfully.
-    DependencyFailed {
-        /// Key of the failed dependency.
-        key: String,
-    },
     /// A process-isolation worker died from a signal mid-job (crash,
     /// abort, external kill).
     Killed {
@@ -79,7 +74,6 @@ impl JobError {
             JobError::Panicked { .. } => "panicked",
             JobError::Timeout { .. } => "timeout",
             JobError::Poisoned => "poisoned",
-            JobError::DependencyFailed { .. } => "dependency",
             JobError::Killed { .. } => "killed",
             JobError::OomKilled => "oom-killed",
             JobError::HeartbeatLost { .. } => "heartbeat-lost",
@@ -116,7 +110,7 @@ impl JobError {
             | JobError::OomKilled
             | JobError::HeartbeatLost { .. }
             | JobError::ProtocolError { .. } => JobStatus::Quarantined,
-            JobError::Sim(_) | JobError::DependencyFailed { .. } => JobStatus::Failed,
+            JobError::Sim(_) => JobStatus::Failed,
         }
     }
 }
@@ -130,9 +124,6 @@ impl core::fmt::Display for JobError {
                 write!(f, "exceeded cycle budget of {budget} cycles")
             }
             JobError::Poisoned => write!(f, "shared state poisoned by another worker's panic"),
-            JobError::DependencyFailed { key } => {
-                write!(f, "dependency {key} did not complete")
-            }
             JobError::Killed { signal } => {
                 write!(f, "worker killed by signal {signal}")
             }
@@ -157,7 +148,7 @@ pub enum JobStatus {
     /// Completed successfully (possibly after retries, possibly restored
     /// from a resume journal).
     Ok,
-    /// Failed deterministically (simulator error or failed dependency).
+    /// Failed deterministically (a simulator error).
     Failed,
     /// Cancelled by the cycle-budget watchdog.
     Timeout,
@@ -213,15 +204,17 @@ pub enum CellSummary {
         /// Memory-model contention statistics (`None` under classic).
         memory: Option<MemSummary>,
     },
-    /// A timing-speculation analysis job.
+    /// A timing-speculation job: the simulator under a shortened clock.
     Ts {
-        /// TS cycle count.
+        /// Simulated cycles at the shortened clock.
         cycles: u64,
-        /// Committed instructions of the matching baseline (TS replays
-        /// the same trace).
+        /// Committed instructions.
         committed: u64,
-        /// Clock-corrected speedup over the measured baseline.
-        speedup: f64,
+        /// The shortened clock period (ps); [`Grid::speedup`] turns it
+        /// into a wall-clock speedup over the baseline cell.
+        ///
+        /// [`Grid::speedup`]: crate::grid::Grid::speedup
+        clock_ps: u32,
     },
 }
 
@@ -417,9 +410,6 @@ pub struct SupervisorConfig {
     /// Retries granted after a transient failure (so a job runs at most
     /// `1 + max_retries` times).
     pub max_retries: u32,
-    /// Base of the deterministic exponential backoff: attempt `n` sleeps
-    /// `backoff_base * 2^(n-1)` before retrying.
-    pub backoff_base: Duration,
     /// Cycle budget per job attempt; `None` disables the watchdog.
     pub job_timeout_cycles: Option<u64>,
     /// Injected faults (tests and the CI resume smoke; empty otherwise).
@@ -430,19 +420,9 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_retries: 2,
-            backoff_base: Duration::from_millis(25),
             job_timeout_cycles: None,
             faults: FaultPlan::none(),
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Deterministic backoff before retry attempt `attempt` (1-based
-    /// count of *failed* attempts so far): `base * 2^(attempt-1)`.
-    #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        self.backoff_base * 2u32.saturating_pow(attempt.saturating_sub(1))
     }
 }
 
@@ -454,17 +434,11 @@ pub struct Supervised<R> {
     pub result: Result<R, JobError>,
     /// Attempts made (1 for a first-try success).
     pub attempts: u32,
-    /// Sum of the *scheduled* retry backoffs (`Σ backoff(n)` over every
-    /// retried attempt). Recorded instead of elapsed sleep time so the
-    /// per-job sweep JSON stays deterministic across machines and
-    /// scheduler jitter — two runs that retried identically report the
-    /// identical delay.
-    pub scheduled_backoff: Duration,
 }
 
 /// Run `attempt_fn` under supervision: panics are caught and classified,
-/// transient failures retried with deterministic backoff up to
-/// `cfg.max_retries` times, deterministic failures returned immediately.
+/// transient failures retried at once up to `cfg.max_retries` times,
+/// deterministic failures returned immediately.
 ///
 /// `attempt_fn` receives the 1-based attempt number (fault injection uses
 /// it to panic only on early attempts).
@@ -473,7 +447,6 @@ pub fn supervise<R>(
     mut attempt_fn: impl FnMut(u32) -> Result<R, JobError>,
 ) -> Supervised<R> {
     let mut attempts = 0;
-    let mut scheduled_backoff = Duration::ZERO;
     loop {
         attempts += 1;
         let outcome =
@@ -483,27 +456,8 @@ pub fn supervise<R>(
                 })
             });
         match outcome {
-            Ok(value) => {
-                return Supervised {
-                    result: Ok(value),
-                    attempts,
-                    scheduled_backoff,
-                }
-            }
-            Err(err) if err.is_transient() && attempts <= cfg.max_retries => {
-                let backoff = cfg.backoff(attempts);
-                scheduled_backoff += backoff;
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            Err(err) => {
-                return Supervised {
-                    result: Err(err),
-                    attempts,
-                    scheduled_backoff,
-                }
-            }
+            Err(err) if err.is_transient() && attempts <= cfg.max_retries => {}
+            result => return Supervised { result, attempts },
         }
     }
 }
@@ -524,24 +478,16 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn fast() -> SupervisorConfig {
-        SupervisorConfig {
-            max_retries: 2,
-            backoff_base: Duration::ZERO,
-            ..SupervisorConfig::default()
-        }
-    }
-
     #[test]
     fn first_try_success_is_one_attempt() {
-        let s = supervise(&fast(), |_| Ok::<_, JobError>(7));
+        let s = supervise(&SupervisorConfig::default(), |_| Ok::<_, JobError>(7));
         assert_eq!(s.attempts, 1);
         assert_eq!(s.result.unwrap(), 7);
     }
 
     #[test]
     fn transient_panic_is_retried_then_succeeds() {
-        let s = supervise(&fast(), |attempt| {
+        let s = supervise(&SupervisorConfig::default(), |attempt| {
             assert!(attempt <= 3);
             if attempt <= 2 {
                 panic!("injected fault (attempt {attempt})");
@@ -554,9 +500,12 @@ mod tests {
 
     #[test]
     fn persistent_panic_exhausts_retries_and_quarantines() {
-        let s = supervise(&fast(), |attempt| -> Result<(), JobError> {
-            panic!("always broken (attempt {attempt})");
-        });
+        let s = supervise(
+            &SupervisorConfig::default(),
+            |attempt| -> Result<(), JobError> {
+                panic!("always broken (attempt {attempt})");
+            },
+        );
         assert_eq!(s.attempts, 3, "1 try + 2 retries");
         let err = s.result.unwrap_err();
         assert!(matches!(&err, JobError::Panicked { payload } if payload.contains("always")));
@@ -566,24 +515,13 @@ mod tests {
     #[test]
     fn deterministic_failures_are_not_retried() {
         let mut calls = 0;
-        let s = supervise(&fast(), |_| -> Result<(), JobError> {
+        let s = supervise(&SupervisorConfig::default(), |_| -> Result<(), JobError> {
             calls += 1;
             Err(JobError::Timeout { budget: 100 })
         });
         assert_eq!(s.attempts, 1);
         assert_eq!(calls, 1, "timeouts are deterministic: no retry");
         assert_eq!(s.result.unwrap_err().terminal_status(), JobStatus::Timeout);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_exponential() {
-        let cfg = SupervisorConfig {
-            backoff_base: Duration::from_millis(10),
-            ..SupervisorConfig::default()
-        };
-        assert_eq!(cfg.backoff(1), Duration::from_millis(10));
-        assert_eq!(cfg.backoff(2), Duration::from_millis(20));
-        assert_eq!(cfg.backoff(3), Duration::from_millis(40));
     }
 
     #[test]
@@ -608,10 +546,6 @@ mod tests {
         use redsoc_core::pipeline::SimError;
         assert_eq!(
             JobError::Sim(SimError::BadConfig("x".into())).terminal_status(),
-            JobStatus::Failed
-        );
-        assert_eq!(
-            JobError::DependencyFailed { key: "k".into() }.terminal_status(),
             JobStatus::Failed
         );
         assert_eq!(
@@ -665,33 +599,5 @@ mod tests {
         assert_eq!(plan.get("a/B/c"), Some(Fault::Abort));
         assert_eq!(plan.get("d/E/f"), Some(Fault::Oom));
         assert_eq!(plan.get("g/H/i"), Some(Fault::Freeze));
-    }
-
-    #[test]
-    fn scheduled_backoff_sums_the_planned_delays_not_elapsed_time() {
-        // Zero base: no wall-clock is spent, yet the *scheduled* total is
-        // still well-defined (zero) and deterministic.
-        let s = supervise(&fast(), |attempt| -> Result<(), JobError> {
-            panic!("always broken (attempt {attempt})");
-        });
-        assert_eq!(s.scheduled_backoff, Duration::ZERO);
-
-        // 1ms base, two retries: 1ms + 2ms scheduled, whatever the OS
-        // actually slept.
-        let cfg = SupervisorConfig {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            ..SupervisorConfig::default()
-        };
-        let s = supervise(&cfg, |attempt| {
-            if attempt <= 2 {
-                panic!("transient (attempt {attempt})");
-            }
-            Ok::<_, JobError>(())
-        });
-        assert_eq!(s.attempts, 3);
-        assert_eq!(s.scheduled_backoff, Duration::from_millis(3));
-        let s = supervise(&cfg, |_| Ok::<_, JobError>(()));
-        assert_eq!(s.scheduled_backoff, Duration::ZERO, "clean run: no backoff");
     }
 }

@@ -160,7 +160,10 @@ pub struct JobSpec {
     pub attempt: u32,
     /// Cooperative cycle budget, when the sweep runs with one.
     pub budget: Option<u64>,
-    /// Measured baseline `(cycles, committed)` for TS jobs.
+    /// Ignored: a TS cell no longer needs its baseline, so this is
+    /// neither sent nor read (a parsed spec holds `None`). It remains
+    /// only so that existing struct literals keep compiling, and will be
+    /// removed.
     pub ts_base: Option<(u64, u64)>,
     /// Injected fault spec for this cell ([`Fault::spec`]), if any.
     pub fault: Option<String>,
@@ -182,12 +185,6 @@ impl JobSpec {
         ];
         if let Some(b) = self.budget {
             pairs.push(("budget", Json::num(b as f64)));
-        }
-        if let Some((c, n)) = self.ts_base {
-            pairs.push((
-                "ts_base",
-                Json::Arr(vec![Json::num(c as f64), Json::num(n as f64)]),
-            ));
         }
         if let Some(f) = &self.fault {
             pairs.push(("fault", Json::str(f)));
@@ -212,14 +209,6 @@ impl JobSpec {
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("job frame missing numeric field {k:?}"))
         };
-        let ts_base = match doc.get("ts_base").and_then(Json::as_arr) {
-            Some([c, n]) => Some((
-                c.as_num().ok_or("bad ts_base cycles")? as u64,
-                n.as_num().ok_or("bad ts_base committed")? as u64,
-            )),
-            Some(_) => return Err("ts_base must be a [cycles, committed] pair".into()),
-            None => None,
-        };
         Ok(JobSpec {
             bench: str_field("bench")?,
             core: str_field("core")?,
@@ -229,7 +218,7 @@ impl JobSpec {
             digest: str_field("digest")?,
             attempt: num_field("attempt")? as u32,
             budget: doc.get("budget").and_then(Json::as_num).map(|b| b as u64),
-            ts_base,
+            ts_base: None,
             fault: doc.get("fault").and_then(Json::as_str).map(str::to_string),
         })
     }
@@ -283,10 +272,6 @@ pub fn job_error_to_json(err: &JobError) -> Json {
             ("budget", Json::num(*budget as f64)),
         ]),
         JobError::Poisoned => Json::obj(kinded("poisoned")),
-        JobError::DependencyFailed { key } => Json::obj(vec![
-            ("kind", Json::str("dependency")),
-            ("key", Json::str(key)),
-        ]),
         JobError::Killed { signal } => Json::obj(vec![
             ("kind", Json::str("killed")),
             ("signal", Json::num(f64::from(*signal))),
@@ -350,9 +335,6 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
             budget: num_field("budget")? as u64,
         }),
         "poisoned" => Ok(JobError::Poisoned),
-        "dependency" => Ok(JobError::DependencyFailed {
-            key: str_field("key")?,
-        }),
         "killed" => Ok(JobError::Killed {
             signal: num_field("signal")? as i32,
         }),
@@ -579,14 +561,7 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     shared.active.store(true, Ordering::Relaxed);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        attempt_with_faults(
-            cache,
-            &job,
-            spec.ts_base,
-            &sup,
-            spec.attempt,
-            Some(&progress),
-        )
+        attempt_with_faults(cache, &job, &sup, spec.attempt, Some(&progress))
     }));
     // Publish the final cycle for one last heartbeat, then deactivate.
     shared
@@ -595,7 +570,7 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     shared.active.store(false, Ordering::Relaxed);
 
     match outcome {
-        Ok(Ok((_output, summary))) => {
+        Ok(Ok((_report, summary))) => {
             let rec = JournalRecord {
                 key,
                 digest: spec.digest.clone(),
@@ -812,13 +787,17 @@ mod tests {
             digest: "abc123".into(),
             attempt: 2,
             budget: Some(1_000_000),
-            ts_base: Some((1234, 999)),
+            ts_base: None,
             fault: Some("panic:2".into()),
         };
         assert_eq!(JobSpec::from_json(&full.to_json()).unwrap(), full);
+        let with_base = JobSpec {
+            ts_base: Some((1234, 999)),
+            ..full.clone()
+        };
+        assert_eq!(with_base.to_json(), full.to_json(), "ts_base is never sent");
         let minimal = JobSpec {
             budget: None,
-            ts_base: None,
             fault: None,
             ..full
         };
@@ -846,9 +825,6 @@ mod tests {
             },
             JobError::Timeout { budget: 5000 },
             JobError::Poisoned,
-            JobError::DependencyFailed {
-                key: "a/B/c".into(),
-            },
             JobError::Killed { signal: 9 },
             JobError::OomKilled,
             JobError::HeartbeatLost { timeout_ms: 750 },

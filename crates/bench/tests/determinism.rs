@@ -8,21 +8,21 @@ use redsoc_workloads::Benchmark;
 
 const LEN: u64 = 5_000;
 
-/// Everything a job result claims, rendered to a canonical string. Wall
-/// clock is excluded (it is measurement, not simulation output); the full
-/// `SimReport` Debug output is included, so any drifting counter — not
-/// just cycles — fails the comparison.
+/// Everything a cell claims, rendered to a canonical string. Wall clock
+/// is excluded (it is measurement, not simulation output); the journaled
+/// summary (a TS cell's `clock_ps` included) and the full `SimReport`
+/// Debug output are included, so any drifting counter — not just
+/// cycles — fails the comparison.
 fn fingerprint(grid: &redsoc_bench::runner::Grid) -> String {
-    grid.rows()
+    grid.cells()
         .iter()
-        .map(|r| {
+        .map(|c| {
             format!(
-                "{}/{}/{} cycles={} out={:?}\n",
-                r.job.bench.name(),
-                r.job.core_name,
-                r.job.mode.label(),
-                r.cycles(),
-                r.report()
+                "{} {} summary={:?} report={:?}\n",
+                c.job.key(),
+                c.status.label(),
+                c.summary,
+                c.report
             )
         })
         .collect()
@@ -45,7 +45,8 @@ fn parallel_grid_matches_serial_grid_exactly() {
     let parallel_cache = TraceCache::new(LEN);
     let parallel = run_grid(&parallel_cache, &benches, &cores, &modes, 8);
 
-    assert_eq!(serial.rows().len(), parallel.rows().len());
+    assert_eq!(serial.cells().len(), 4 * 3 * 4);
+    assert!(serial.fully_ok() && parallel.fully_ok());
     let s = fingerprint(&serial);
     let p = fingerprint(&parallel);
     assert!(

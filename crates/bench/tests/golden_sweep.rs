@@ -13,7 +13,7 @@ const LEN: u64 = 5_000;
 #[test]
 fn full_sweep_json_is_complete_and_sane() {
     let cache = TraceCache::new(LEN);
-    let grid = run_full_sweep(&cache, &Mode::all(), threads());
+    let grid = run_full_sweep(&cache, &Mode::all(), threads().expect("REDSOC_THREADS"));
     let text = sweep_json(&grid, LEN).pretty();
 
     let doc = Json::parse(&text).expect("sweep JSON parses back");
@@ -107,7 +107,7 @@ fn full_sweep_json_is_complete_and_sane() {
             );
         }
         // Simulator rows carry a stall breakdown that partitions cycles
-        // exactly; TS rows (analytical, no pipeline) carry null.
+        // exactly; TS rows keep null so documents stay compatible.
         let mode = j.get("mode").and_then(Json::as_str).unwrap_or("?");
         let stalls = j.get("stalls").expect("stalls field present in /v3");
         if mode == "ts" {

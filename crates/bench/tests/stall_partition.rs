@@ -13,22 +13,18 @@ const LEN: u64 = 4_000;
 #[test]
 fn stall_causes_partition_cycles_across_the_grid() {
     let cache = TraceCache::new(LEN);
-    // TS is analytical (no pipeline, no breakdown); every simulated mode
+    // TS rows publish no breakdown (`stalls: null`); every other mode
     // must satisfy the partition.
     let modes = [Mode::Baseline, Mode::Redsoc, Mode::Mos];
-    let grid = run_full_sweep(&cache, &modes, threads());
+    let grid = run_full_sweep(&cache, &modes, threads().expect("REDSOC_THREADS"));
 
     let mut checked = 0usize;
-    for row in grid.rows() {
-        let rep = row
-            .report()
-            .expect("simulated modes carry a full SimReport");
-        let name = format!(
-            "{}/{}/{}",
-            row.job.bench.name(),
-            row.job.core_name,
-            row.job.mode.label()
-        );
+    for cell in grid.cells() {
+        let rep = cell
+            .report
+            .as_deref()
+            .expect("thread-isolated cells carry a full SimReport");
+        let name = cell.job.key();
         assert_eq!(
             rep.stalls.total(),
             rep.cycles,

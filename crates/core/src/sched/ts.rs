@@ -28,8 +28,8 @@ use super::Scheduler;
 /// The TS scheduling policy: *conventional* wakeup, select and boundary
 /// completion — identical to the baseline — because timing speculation
 /// changes the clock, not the scheduler. All slack exploitation happens
-/// statically in [`run_ts`]: the clock is shortened per application and
-/// fixed-time structures are rescaled, then this scheduler drives the
+/// statically in [`ts_config`]: the clock is shortened per application
+/// and fixed-time structures are rescaled, then this scheduler drives the
 /// pipeline exactly as the baseline would.
 ///
 /// Wakeup purity audit: no `wakeup` override — inherits the default
@@ -125,9 +125,34 @@ pub fn choose_clock(trace: &[DynOp], max_error: f64, min_clock_ps: u32, step_ps:
 /// the ALU bypass network, is unconstrained.)
 pub const TS_MIN_CLOCK_PS: u32 = 450;
 
+/// The TS operating point for `trace` on `config`: the per-application
+/// clock period (ps) and the core configuration under conventional
+/// scheduling, with fixed-time structures rescaled to that clock.
+#[must_use]
+pub fn ts_config(trace: &[DynOp], config: &CoreConfig, max_error: f64) -> (u32, CoreConfig) {
+    let clock_ps = choose_clock(trace, max_error, TS_MIN_CLOCK_PS, 10);
+    let scale = f64::from(CYCLE_PS) / f64::from(clock_ps);
+    let mut scaled = config.clone().with_sched(SchedulerConfig::baseline());
+    let rescale = |cycles: u32| -> u32 { (f64::from(cycles) * scale).ceil() as u32 };
+    scaled.mem_latencies.l1_cycles = rescale(scaled.mem_latencies.l1_cycles);
+    scaled.mem_latencies.l2_cycles = rescale(scaled.mem_latencies.l2_cycles);
+    scaled.mem_latencies.mem_cycles = rescale(scaled.mem_latencies.mem_cycles);
+    (clock_ps, scaled)
+}
+
+/// Wall-clock speedup of a TS run of `ts_cycles` at `clock_ps` over a
+/// baseline run of `baseline_cycles` at the nominal [`CYCLE_PS`] clock.
+#[must_use]
+pub fn ts_speedup(baseline_cycles: u64, ts_cycles: u64, clock_ps: u32) -> f64 {
+    let base_time = baseline_cycles as f64 * f64::from(CYCLE_PS);
+    let ts_time = ts_cycles as f64 * f64::from(clock_ps);
+    base_time / ts_time
+}
+
 /// Run the TS comparator: pick the per-application clock, rescale
-/// fixed-time latencies, simulate under a [`TsScheduler`], and report
-/// wall-clock speedup against the given baseline cycle count.
+/// fixed-time latencies ([`ts_config`]), simulate under a
+/// [`TsScheduler`], and report wall-clock speedup against the given
+/// baseline cycle count ([`ts_speedup`]).
 ///
 /// # Errors
 ///
@@ -138,25 +163,13 @@ pub fn run_ts(
     baseline_cycles: u64,
     max_error: f64,
 ) -> Result<TsResult, SimError> {
-    let clock_ps = choose_clock(trace, max_error, TS_MIN_CLOCK_PS, 10);
-    let error_rate = error_rate_at(trace, clock_ps);
-
-    // Rescale fixed-time structures to the shorter clock.
-    let scale = f64::from(CYCLE_PS) / f64::from(clock_ps);
-    let mut ts_config = config.clone().with_sched(SchedulerConfig::baseline());
-    let rescale = |cycles: u32| -> u32 { (f64::from(cycles) * scale).ceil() as u32 };
-    ts_config.mem_latencies.l1_cycles = rescale(ts_config.mem_latencies.l1_cycles);
-    ts_config.mem_latencies.l2_cycles = rescale(ts_config.mem_latencies.l2_cycles);
-    ts_config.mem_latencies.mem_cycles = rescale(ts_config.mem_latencies.mem_cycles);
-
+    let (clock_ps, scaled) = ts_config(trace, config, max_error);
     let report =
-        Simulator::with_scheduler(ts_config, Box::new(TsScheduler))?.run(trace.iter().copied())?;
-    let base_time = baseline_cycles as f64 * f64::from(CYCLE_PS);
-    let ts_time = report.cycles as f64 * f64::from(clock_ps);
+        Simulator::with_scheduler(scaled, Box::new(TsScheduler))?.run(trace.iter().copied())?;
     Ok(TsResult {
         clock_ps,
-        error_rate,
-        speedup: base_time / ts_time,
+        error_rate: error_rate_at(trace, clock_ps),
+        speedup: ts_speedup(baseline_cycles, report.cycles, clock_ps),
         cycles: report.cycles,
     })
 }

@@ -118,7 +118,8 @@ fn parse_bench(s: &str) -> Result<Benchmark, CliError> {
 
 /// Minimal flag parser: `--key value` pairs after the positional args.
 /// Each command declares its accepted keys, so a typo fails with a usage
-/// hint instead of being silently ignored.
+/// hint instead of being silently ignored; a flag given twice fails too,
+/// rather than one of its values being dropped.
 struct Flags {
     pairs: Vec<(String, String)>,
 }
@@ -144,6 +145,9 @@ impl Flags {
             let Some(v) = it.next() else {
                 return Err(usage_err(format!("flag --{key} needs a value")));
             };
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(usage_err(format!("flag --{key} given more than once")));
+            }
             pairs.push((key.to_string(), v.clone()));
         }
         Ok(Flags { pairs })
@@ -161,11 +165,25 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
+        self.num_or(key, || Ok(default))
+    }
+
+    /// Parse a numeric flag; when it is absent, take the value of
+    /// `default`, whose error (a malformed environment variable) is a
+    /// usage error too.
+    fn num_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: impl FnOnce() -> Result<T, String>,
+    ) -> Result<T, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
         match self.get(key) {
             Some(v) => v
                 .parse()
                 .map_err(|e| usage_err(format!("bad --{key}: {e}"))),
-            None => Ok(default),
+            None => default().map_err(usage_err),
         }
     }
 }
@@ -404,7 +422,8 @@ fn cmd_report(args: &[String]) -> CliResult {
         faults: FaultPlan::from_env().map_err(|e| usage_err(format!("bad REDSOC_FAULT: {e}")))?,
         ..SupervisorConfig::default()
     };
-    let (len, threads) = (redsoc::bench::trace_len(), redsoc::bench::threads());
+    let len = redsoc::bench::trace_len().map_err(usage_err)?;
+    let threads = redsoc::bench::threads().map_err(usage_err)?;
     let cache = redsoc::bench::TraceCache::new(len);
     let grid = run_jobs(&cache, &jobs(), threads, &sup, None, &Isolation::Thread);
     let doc = results_json(&grid, len);
@@ -453,7 +472,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "resume",
             "job-timeout",
             "max-retries",
-            "backoff-ms",
             "mem-model",
             "isolation",
             "mem-limit-mb",
@@ -461,8 +479,8 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "heartbeat-timeout-ms",
         ],
     )?;
-    let threads = flags.num("threads", redsoc::bench::threads())?.max(1);
-    let len: u64 = flags.num("len", redsoc::bench::trace_len())?;
+    let threads = flags.num_or("threads", redsoc::bench::threads)?.max(1);
+    let len = flags.num_or("len", redsoc::bench::trace_len)?;
     // Not `BENCH_sweep.json`: that is the committed baseline, rewritten
     // only by the perfgate re-baseline procedure.
     let out = flags.get("out").unwrap_or("sweep.json");
@@ -481,7 +499,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
         sup.job_timeout_cycles = Some(cycles);
     }
     sup.max_retries = flags.num("max-retries", sup.max_retries)?;
-    sup.backoff_base = std::time::Duration::from_millis(flags.num("backoff-ms", 25u64)?);
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
@@ -648,7 +665,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         args,
         &["threads", "len", "kills", "seed", "dir", "worker-kills"],
     )?;
-    let threads: usize = flags.num("threads", redsoc::bench::threads())?.max(1);
+    let threads = flags.num_or("threads", redsoc::bench::threads)?.max(1);
     let len: u64 = flags.num("len", 20_000)?;
     let kills: u64 = flags.num("kills", 5u64)?;
     if kills == 0 {
@@ -709,7 +726,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
                 .args(["--isolation", "process"])
                 // Deep retry budget: every storm hit must be absorbable.
                 .args(["--max-retries", "8"])
-                .args(["--backoff-ms", "10"])
                 .arg("--journal")
                 .arg(&journal)
                 .arg("--out")
@@ -1229,7 +1245,6 @@ fn usage() -> String {
      \x20                          --resume FILE    reopen a journal, skip done cells\n\
      \x20                          --job-timeout N  per-job cycle budget\n\
      \x20                          --max-retries N  retries for transient failures\n\
-     \x20                          --backoff-ms N   retry backoff base\n\
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
      \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
