@@ -215,18 +215,6 @@ impl JournalRecord {
     }
 }
 
-/// Render a journal line: one JSON object, compact, newline-terminated.
-fn render_line(json: &Json) -> String {
-    // One record per line: render compactly by stripping the pretty
-    // emitter's newlines and indentation.
-    let mut line = String::new();
-    for part in json.pretty().lines() {
-        line.push_str(part.trim_start());
-    }
-    line.push('\n');
-    line
-}
-
 struct JournalFile {
     file: File,
     appended: u64,
@@ -350,7 +338,9 @@ impl Journal {
     /// Panics if the journal lock is poisoned, which cannot happen: the
     /// critical section below never panics.
     pub fn append(&self, rec: &JournalRecord) -> std::io::Result<()> {
-        let line = render_line(&rec.to_json());
+        // One record per line.
+        let mut line = rec.to_json().compact();
+        line.push('\n');
         let mut w = self
             .writer
             .lock()
@@ -548,12 +538,12 @@ mod tests {
     fn wall_seconds_beyond_duration_range_is_corrupt() {
         // `1e400` parses to infinity; neither fits in a `Duration`.
         for wall in ["1e300", "1e400"] {
-            let line = render_line(&rec("c/BIG/redsoc", "d", 300).to_json());
-            let bad = line.trim_end().replace(
+            let line = rec("c/BIG/redsoc", "d", 300).to_json().compact();
+            let bad = line.replace(
                 "\"wall_seconds\": 0.25",
                 &format!("\"wall_seconds\": {wall}"),
             );
-            assert_ne!(bad, line.trim_end(), "fixture line carries wall_seconds");
+            assert_ne!(bad, line, "fixture line carries wall_seconds");
             assert_eq!(
                 resume_with_middle_line("wall-range", bad.as_bytes()),
                 ["a/BIG/redsoc"],

@@ -89,6 +89,13 @@ impl Json {
         out
     }
 
+    /// Serialise on one line: the pretty form with its newlines and
+    /// indentation stripped. Journal lines and worker frames use it.
+    #[must_use]
+    pub(crate) fn compact(&self) -> String {
+        self.pretty().lines().map(str::trim_start).collect()
+    }
+
     fn write(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent + 1);
         let close = "  ".repeat(indent);

@@ -31,8 +31,8 @@
 //! - [`worker`] / [`pool`] — the process-isolation tier behind
 //!   `redsoc bench --isolation process`: a length-prefixed frame
 //!   protocol spoken by disposable `redsoc worker` children, and the
-//!   parent-side pool that supervises them with heartbeats, wall-clock
-//!   deadlines, and hard memory budgets.
+//!   parent-side pool that supervises them with heartbeats (which catch
+//!   a frozen worker process) and hard memory budgets.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -60,18 +60,16 @@ use redsoc_workloads::{BenchClass, Benchmark};
 /// `REDSOC_TRACE_LEN`.
 pub const DEFAULT_TRACE_LEN: u64 = 300_000;
 
-/// The positive integer in environment variable `var`, or `default()`
-/// when the variable is unset.
-fn env_count<T: std::str::FromStr + PartialEq + From<u8>>(
-    var: &str,
-    default: impl FnOnce() -> T,
-) -> Result<T, String> {
+/// The positive integer in environment variable `var`, or `None` when
+/// the variable is unset.
+fn env_count<T: std::str::FromStr + PartialEq + From<u8>>(var: &str) -> Result<Option<T>, String> {
     match std::env::var(var) {
-        Err(std::env::VarError::NotPresent) => Ok(default()),
+        Err(std::env::VarError::NotPresent) => Ok(None),
         Ok(s) => s
             .parse()
             .ok()
             .filter(|n| *n != T::from(0))
+            .map(Some)
             .ok_or_else(|| format!("{var}={s:?} is not a positive integer")),
         Err(e) => Err(format!("{var}: {e}")),
     }
@@ -84,7 +82,7 @@ fn env_count<T: std::str::FromStr + PartialEq + From<u8>>(
 /// A set `REDSOC_TRACE_LEN` that is not a positive integer (the message
 /// names the variable).
 pub fn trace_len() -> Result<u64, String> {
-    env_count("REDSOC_TRACE_LEN", || DEFAULT_TRACE_LEN)
+    Ok(env_count("REDSOC_TRACE_LEN")?.unwrap_or(DEFAULT_TRACE_LEN))
 }
 
 /// Worker-thread count for the parallel runner: `REDSOC_THREADS` when
@@ -95,9 +93,21 @@ pub fn trace_len() -> Result<u64, String> {
 /// A set `REDSOC_THREADS` that is not a positive integer (the message
 /// names the variable).
 pub fn threads() -> Result<usize, String> {
-    env_count("REDSOC_THREADS", || {
+    Ok(env_count("REDSOC_THREADS")?.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
+    }))
+}
+
+/// The injected mid-sweep kill for the crash-safety tests:
+/// `REDSOC_DIE_AFTER_JOBS` journal appends, after which the sweep exits
+/// (see [`journal::Journal::set_die_after`]); `None` when unset.
+///
+/// # Errors
+///
+/// A set `REDSOC_DIE_AFTER_JOBS` that is not a positive integer (the
+/// message names the variable).
+pub fn die_after_jobs() -> Result<Option<u64>, String> {
+    env_count("REDSOC_DIE_AFTER_JOBS")
 }
 
 /// The three Table I cores with their display names.

@@ -6,12 +6,15 @@
 //! parent supervises every attempt with a heartbeat deadline. The
 //! supervision contract:
 //!
-//! - **Heartbeats are the wall clock.** The worker emits a `heartbeat`
-//!   frame on a wall timer while a job is active; the parent waits for
-//!   *any* frame with [`WorkerPoolConfig::heartbeat_timeout`]. Silence —
-//!   a wedged simulator loop, a frozen child, a livelock — is
-//!   indistinguishable from death and handled the same way: SIGKILL,
-//!   then [`JobError::HeartbeatLost`].
+//! - **Heartbeats catch a frozen worker.** The worker's heartbeat thread
+//!   emits an empty `heartbeat` frame on a wall timer while a job is
+//!   active; the parent waits for *any* frame with
+//!   [`WorkerPoolConfig::heartbeat_timeout`]. Silence means the worker
+//!   process is frozen or stopped (the injected `freeze` fault) and is
+//!   handled like death: SIGKILL, then [`JobError::HeartbeatLost`].
+//!   Heartbeats do not bound a running simulation — the thread beats
+//!   whatever the simulator does — so only the supervisor's cycle budget
+//!   (`--job-timeout`) stops a job that runs too long.
 //! - **Death is classified, not propagated.** A worker that dies
 //!   mid-job becomes a structured [`JobError`] on that one cell: signal
 //!   deaths are [`JobError::Killed`], allocation-failure aborts under a
@@ -22,10 +25,10 @@
 //! - **Workers are disposable.** Any transport failure discards the
 //!   child; the next attempt (the supervisor's retry machinery is
 //!   unchanged) spawns a fresh one. Healthy workers are recycled after
-//!   [`WorkerPoolConfig::recycle_after`] jobs to bound slow leaks, the
-//!   classic disposable-worker hygiene. Worker-reported *job* failures
-//!   (a deadlock, a timeout, a caught panic) leave the worker alive —
-//!   its trace cache is warm and the failure was contained.
+//!   32 jobs to bound slow leaks, the classic disposable-worker hygiene.
+//!   Worker-reported *job* failures (a deadlock, a timeout, a caught
+//!   panic) leave the worker alive — its trace cache is warm and the
+//!   failure was contained.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
@@ -37,13 +40,15 @@ use std::time::{Duration, Instant};
 use crate::journal::JournalRecord;
 use crate::json::Json;
 use crate::supervisor::{CellSummary, JobError};
-use crate::worker::{
-    job_error_from_json, read_frame, send_signal, write_frame, FrameError, JobSpec,
-};
+use crate::worker::{job_error_from_json, read_frame, write_frame, FrameError, JobSpec};
 
 /// How many stderr lines a worker's tail buffer keeps (the post-mortem
 /// event dump for a dead worker).
 const STDERR_TAIL: usize = 40;
+
+/// Retire a healthy worker after this many jobs (crashed workers are
+/// always discarded immediately).
+const RECYCLE_AFTER: u32 = 32;
 
 /// Configuration for the process-isolation tier.
 #[derive(Debug, Clone)]
@@ -54,23 +59,19 @@ pub struct WorkerPoolConfig {
     /// Per-worker address-space cap, applied by the worker itself via
     /// `setrlimit(RLIMIT_AS)` before its first job.
     pub mem_limit_mb: Option<u64>,
-    /// Retire a healthy worker after this many jobs (crashed workers
-    /// are always discarded immediately).
-    pub recycle_after: u32,
     /// How long the parent tolerates frame silence before declaring the
-    /// worker lost and killing it — the per-attempt wall-clock limit.
+    /// worker frozen and killing it. A running job keeps heartbeating,
+    /// so this never bounds a simulation; the cycle budget does.
     pub heartbeat_timeout: Duration,
 }
 
 impl WorkerPoolConfig {
-    /// Defaults: no memory cap, recycle after 32 jobs, 30 s heartbeat
-    /// deadline.
+    /// Defaults: no memory cap, 30 s heartbeat deadline.
     #[must_use]
     pub fn new(exe: PathBuf) -> Self {
         WorkerPoolConfig {
             exe,
             mem_limit_mb: None,
-            recycle_after: 32,
             heartbeat_timeout: Duration::from_secs(30),
         }
     }
@@ -111,7 +112,7 @@ impl WorkerHandle {
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::piped())
             // A worker must never think *it* is under fault injection or
-            // die-after-jobs chaos; faults reach it via job frames only.
+            // the die-after-jobs kill; faults reach it via job frames only.
             .env_remove("REDSOC_FAULT")
             .env_remove("REDSOC_DIE_AFTER_JOBS");
         if let Some(mb) = cfg.mem_limit_mb {
@@ -296,8 +297,9 @@ impl WorkerHandle {
                     self.kill_now();
                     return Dispatch::Lost(JobError::ProtocolError { detail }, self.tail());
                 }
-                // Frame silence past the deadline: wedged or frozen.
-                // SIGKILL is the backstop — no cooperation required.
+                // Frame silence past the deadline: the worker process is
+                // frozen. SIGKILL is the backstop — no cooperation
+                // required.
                 Err(RecvTimeoutError::Timeout) => {
                     self.kill_now();
                     return Dispatch::Lost(
@@ -354,10 +356,7 @@ pub(crate) fn run_job_attempt(
 ) -> Result<CellSummary, (JobError, Vec<String>)> {
     WORKER.with(|slot| {
         let mut slot = slot.borrow_mut();
-        if slot
-            .as_ref()
-            .is_some_and(|w| w.jobs_done >= cfg.recycle_after)
-        {
+        if slot.as_ref().is_some_and(|w| w.jobs_done >= RECYCLE_AFTER) {
             *slot = None; // Drop shuts the old worker down
         }
         if slot.is_none() {
@@ -398,45 +397,6 @@ pub(crate) fn shutdown_local_worker() {
     });
 }
 
-/// PIDs of the live `redsoc worker` children of process `pid` — the
-/// chaos harness's kill-storm targets. Linux-only (`/proc` walk);
-/// returns empty elsewhere.
-#[must_use]
-pub fn worker_children_of(pid: u32) -> Vec<i32> {
-    let mut found = Vec::new();
-    let tasks = std::path::Path::new("/proc")
-        .join(pid.to_string())
-        .join("task");
-    let Ok(tids) = std::fs::read_dir(&tasks) else {
-        return found;
-    };
-    for tid in tids.flatten() {
-        let Ok(children) = std::fs::read_to_string(tid.path().join("children")) else {
-            continue;
-        };
-        for child in children.split_whitespace() {
-            let Ok(child_pid) = child.parse::<i32>() else {
-                continue;
-            };
-            let cmdline = std::path::Path::new("/proc").join(child).join("cmdline");
-            let Ok(cmd) = std::fs::read_to_string(cmdline) else {
-                continue;
-            };
-            if cmd.split('\0').any(|arg| arg == "worker") {
-                found.push(child_pid);
-            }
-        }
-    }
-    found.sort_unstable();
-    found
-}
-
-/// Deliver `signal` to `pid` (re-exported for the chaos harness).
-#[must_use]
-pub fn kill_pid(pid: i32, signal: i32) -> bool {
-    send_signal(pid, signal)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -468,11 +428,5 @@ mod tests {
         let err = run_job_attempt(&cfg, &spec).unwrap_err();
         assert_eq!(err.0.kind(), "protocol");
         assert!(err.0.is_transient(), "retries must apply to spawn failures");
-    }
-
-    #[test]
-    fn worker_discovery_handles_missing_proc_entries() {
-        // PID 0 has no /proc entry; the walk must degrade to empty.
-        assert!(worker_children_of(0).is_empty());
     }
 }

@@ -26,8 +26,8 @@
 //! requested jobs in one parallel wave.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use redsoc_core::config::CoreConfig;
@@ -164,35 +164,14 @@ fn sim_summary(job: &Job, report: &SimReport) -> CellSummary {
     }
 }
 
-/// Attach the supervisor's cycle budget and the process-isolation
-/// progress cell (the worker heartbeat reads what the token publishes)
-/// to `sim`. Without either, the run keeps its default, inert token.
-fn with_watchdog(
-    sim: Simulator,
-    sup: &SupervisorConfig,
-    progress: Option<&Arc<AtomicU64>>,
-) -> Simulator {
-    if sup.job_timeout_cycles.is_none() && progress.is_none() {
-        return sim;
-    }
-    let mut token = match sup.job_timeout_cycles {
-        Some(budget) => CancelToken::with_budget(budget),
-        None => CancelToken::new(),
-    };
-    if let Some(cell) = progress {
-        token = token.with_progress(Arc::clone(cell));
-    }
-    sim.with_cancel(token)
-}
-
 /// Where a cell's attempts execute.
 ///
 /// `Thread` is the classic in-process path: cheap, shared trace cache,
 /// but a job that aborts or exhausts memory takes the whole sweep with
 /// it. `Process` ships each attempt to a pooled `redsoc worker` child
-/// over the [`worker`](crate::worker) wire protocol: the parent
-/// supervises heartbeats, enforces wall-clock and memory budgets, and a
-/// worker death degrades to one failed cell.
+/// over the [`worker`](crate::worker) wire protocol: the parent reaps a
+/// worker that stops heartbeating, enforces memory budgets, and a worker
+/// death degrades to one failed cell.
 #[derive(Debug, Clone, Default)]
 pub enum Isolation {
     /// Run attempts on the sweep's own threads (the default; results
@@ -210,8 +189,6 @@ pub enum Isolation {
 /// rescaled core with [`ts_config`] — attaches the cycle-budget watchdog,
 /// and runs the trace (the injected hang runs an endless stream instead)
 /// into a [`RingSink`] that supplies the post-mortem of a failed run.
-/// `progress` is published to from the [`CancelToken`] poll so a
-/// worker's heartbeat can carry the latest simulated cycle.
 ///
 /// The containable faults (`panic`/`fail`/`hang`) execute here under
 /// whichever isolation is active. The destructive faults
@@ -223,7 +200,6 @@ pub(crate) fn attempt_with_faults(
     job: &Job,
     sup: &SupervisorConfig,
     attempt: u32,
-    progress: Option<&Arc<AtomicU64>>,
 ) -> Result<(Box<SimReport>, CellSummary), (JobError, Vec<String>)> {
     let key = job.key();
     let fault = sup.faults.get(&key);
@@ -251,11 +227,10 @@ pub(crate) fn attempt_with_faults(
             (sim, Some(clock_ps))
         }
     };
-    let sim = with_watchdog(
-        sim.map_err(|e| (JobError::Sim(e), Vec::new()))?,
-        sup,
-        progress,
-    );
+    let mut sim = sim.map_err(|e| (JobError::Sim(e), Vec::new()))?;
+    if let Some(budget) = sup.job_timeout_cycles {
+        sim = sim.with_cancel(CancelToken::with_budget(budget));
+    }
     let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
     let run = if fault == Some(Fault::Hang) {
         sim.run_events(endless_trace(), &mut ring)
@@ -342,7 +317,7 @@ fn exec_cell(
     let last_events: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let supervised = supervise(sup, |attempt| {
         let outcome = match isolation {
-            Isolation::Thread => attempt_with_faults(cache, job, sup, attempt, None)
+            Isolation::Thread => attempt_with_faults(cache, job, sup, attempt)
                 .map(|(report, summary)| (Some(report), summary)),
             Isolation::Process(cfg) => {
                 if !job.variant.is_default() {

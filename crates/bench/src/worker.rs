@@ -2,40 +2,39 @@
 //!
 //! `redsoc bench --isolation process` runs every grid cell in a
 //! disposable `redsoc worker` child process instead of a thread.
-//! `catch_unwind` cannot contain aborts, allocator failure, stack
-//! overflows, or a job that never reaches its cooperative cancel poll; a
-//! process boundary contains all of them, so one pathological cell costs
-//! one worker, never the sweep.
+//! `catch_unwind` cannot contain aborts, allocator failure or stack
+//! overflows; a process boundary contains all of them, so one
+//! pathological cell costs one worker, never the sweep. Heartbeat loss
+//! catches a worker process that freezes or stops; a simulation that
+//! runs too long is bounded by the cycle budget alone, as under thread
+//! isolation.
 //!
 //! **Wire format.** Parent and worker speak length-prefixed JSON frames
 //! over the worker's stdin/stdout: a 4-byte big-endian payload length
 //! (1..=[`MAX_FRAME`] bytes) followed by one compact JSON object with a
 //! `type` field. Frame types: `hello` (worker → parent, once at startup),
 //! `job` (parent → worker, one grid cell), `heartbeat` (worker → parent,
-//! wall-timed liveness carrying the latest simulated cycle at
-//! cancellation-poll granularity), `ok` / `err` (worker → parent, one per
-//! job), and `shutdown` (parent → worker). Anything else — a torn frame,
-//! an oversized prefix, garbage bytes, an EOF mid-frame — is a
-//! [`FrameError::Protocol`] and never a panic or a hang.
+//! an empty wall-timed liveness frame while a job runs), `ok` / `err`
+//! (worker → parent, one per job), and `shutdown` (parent → worker).
+//! Anything else — a torn frame, an oversized prefix, garbage bytes, an
+//! EOF mid-frame — is a [`FrameError::Protocol`] and never a panic or a
+//! hang.
 //!
 //! **Worker lifecycle.** The worker optionally caps its own address
 //! space via `setrlimit(RLIMIT_AS)` before the first frame, then loops:
 //! read a job frame, rebuild the [`Job`] from names, verify the parent's
-//! configuration digest, execute one attempt (under `catch_unwind`, with
-//! a progress-observing
-//! [`CancelToken`](redsoc_core::pipeline::CancelToken)), and reply `ok`
-//! or `err`. The
-//! trace cache persists across jobs, so a recycled worker is the only
-//! thing that pays trace generation twice. Stdout carries only frames;
-//! human diagnostics go to stderr, which the parent tails into the
-//! failure record of any cell whose worker dies.
+//! configuration digest, execute one attempt under `catch_unwind`, and
+//! reply `ok` or `err`. The trace cache persists across jobs, so a
+//! recycled worker is the only thing that pays trace generation twice.
+//! Stdout carries only frames; human diagnostics go to stderr, which the
+//! parent tails into the failure record of any cell whose worker dies.
 //!
 //! The parent half — the pool, heartbeat supervision, and failure
 //! classification — lives in [`pool`](crate::pool).
 
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -74,16 +73,6 @@ impl core::fmt::Display for FrameError {
     }
 }
 
-/// Render a JSON value compactly (single line, no indentation) — the
-/// frame payload encoding.
-fn compact(json: &Json) -> String {
-    let mut line = String::new();
-    for part in json.pretty().lines() {
-        line.push_str(part.trim_start());
-    }
-    line
-}
-
 /// Write one frame: 4-byte big-endian payload length, then the compact
 /// JSON payload, flushed.
 ///
@@ -91,7 +80,7 @@ fn compact(json: &Json) -> String {
 ///
 /// Propagates I/O errors (a dead peer surfaces here as a broken pipe).
 pub fn write_frame(w: &mut impl Write, frame: &Json) -> std::io::Result<()> {
-    let payload = compact(frame);
+    let payload = frame.compact();
     let bytes = payload.as_bytes();
     w.write_all(&(bytes.len() as u32).to_be_bytes())?;
     w.write_all(bytes)?;
@@ -393,25 +382,6 @@ pub fn set_mem_limit(_bytes: u64) -> Result<(), String> {
     Err("--mem-limit-mb requires Linux (setrlimit RLIMIT_AS)".to_string())
 }
 
-/// Send `signal` to `pid` (the chaos harness's worker-kill storm).
-/// Returns whether the signal was delivered.
-#[cfg(unix)]
-#[must_use]
-pub fn send_signal(pid: i32, signal: i32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    // SAFETY: kill(2) takes two plain integers and touches no memory.
-    unsafe { kill(pid, signal) == 0 }
-}
-
-/// Non-Unix stub: no signals to send.
-#[cfg(not(unix))]
-#[must_use]
-pub fn send_signal(_pid: i32, _signal: i32) -> bool {
-    false
-}
-
 /// The injected `oom` fault body: allocate address space in 64 MiB
 /// steps until the allocator fails (under a `--mem-limit-mb` rlimit the
 /// failure aborts with the allocation-failure message the parent keys
@@ -449,9 +419,6 @@ struct WorkerShared {
     /// A job is currently executing (heartbeats are emitted only then,
     /// so an idle worker never fills the pipe).
     active: AtomicBool,
-    /// Latest simulated cycle, published by the [`CancelToken`] progress
-    /// observer at cancellation-poll granularity.
-    progress: AtomicU64,
 }
 
 impl WorkerShared {
@@ -556,17 +523,11 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     if let Some(f) = fault {
         sup.faults = FaultPlan::none().with(&key, f);
     }
-    let progress = Arc::new(AtomicU64::new(0));
-    shared.progress.store(0, Ordering::Relaxed);
     shared.active.store(true, Ordering::Relaxed);
     let start = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        attempt_with_faults(cache, &job, &sup, spec.attempt, Some(&progress))
+        attempt_with_faults(cache, &job, &sup, spec.attempt)
     }));
-    // Publish the final cycle for one last heartbeat, then deactivate.
-    shared
-        .progress
-        .store(progress.load(Ordering::Relaxed), Ordering::Relaxed);
     shared.active.store(false, Ordering::Relaxed);
 
     match outcome {
@@ -606,7 +567,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     let shared = Arc::new(WorkerShared {
         out: Mutex::new(std::io::stdout()),
         active: AtomicBool::new(false),
-        progress: AtomicU64::new(0),
     });
     shared
         .send(&Json::obj(vec![
@@ -621,13 +581,7 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
     std::thread::spawn(move || loop {
         std::thread::sleep(period);
         if beat.active.load(Ordering::Relaxed) {
-            let frame = Json::obj(vec![
-                ("type", Json::str("heartbeat")),
-                (
-                    "cycle",
-                    Json::num(beat.progress.load(Ordering::Relaxed) as f64),
-                ),
-            ]);
+            let frame = Json::obj(vec![("type", Json::str("heartbeat"))]);
             if beat.send(&frame).is_err() {
                 break; // parent is gone; the main loop will see EOF too
             }
@@ -683,8 +637,8 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let frame = Json::obj(vec![
-            ("type", Json::str("heartbeat")),
-            ("cycle", Json::num(4096.0)),
+            ("type", Json::str("hello")),
+            ("pid", Json::num(4096.0)),
         ]);
         assert_eq!(roundtrip(&frame), frame);
     }

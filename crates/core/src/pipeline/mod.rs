@@ -47,7 +47,7 @@ pub mod issue;
 pub mod state;
 pub mod wakeup;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use redsoc_isa::instruction::Instr;
@@ -143,11 +143,6 @@ impl std::error::Error for SimError {}
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
     budget: Option<u64>,
-    /// Optional progress observer: the latest polled cycle is published
-    /// here at cancellation-poll granularity (every 1024 cycles), so an
-    /// external supervisor — the process-isolation heartbeat — can see a
-    /// live cycle counter without touching the hot loop.
-    progress: Option<Arc<AtomicU64>>,
 }
 
 impl CancelToken {
@@ -164,18 +159,7 @@ impl CancelToken {
         CancelToken {
             flag: Arc::new(AtomicBool::new(false)),
             budget: Some(max_cycles),
-            progress: None,
         }
-    }
-
-    /// Attach a progress observer: every cancellation poll stores the
-    /// current simulated cycle into `cell`, giving supervisors a live
-    /// cycle counter updated at the same 1024-cycle stride the poll
-    /// itself runs at (the heartbeat source under process isolation).
-    #[must_use]
-    pub fn with_progress(mut self, cell: Arc<AtomicU64>) -> Self {
-        self.progress = Some(cell);
-        self
     }
 
     /// Request cancellation from any thread.
@@ -195,13 +179,9 @@ impl CancelToken {
         self.budget
     }
 
-    /// Whether a run at `cycle` should stop. Also publishes `cycle` to
-    /// the progress observer, when one is attached.
+    /// Whether a run at `cycle` should stop.
     #[must_use]
     pub fn should_stop(&self, cycle: u64) -> bool {
-        if let Some(p) = &self.progress {
-            p.store(cycle, Ordering::Relaxed);
-        }
         self.budget.is_some_and(|b| cycle >= b) || self.is_cancelled()
     }
 }

@@ -10,7 +10,6 @@
 //! redsoc bench --threads 8 --len 300000 --out sweep.json
 //! redsoc bench --journal sweep.jnl --job-timeout 50000000
 //! redsoc bench --resume sweep.jnl --out sweep.json
-//! redsoc chaos --kills 5 --seed 1 --len 20000
 //! redsoc sweepcmp a_sweep.json b_sweep.json
 //! redsoc perfgate BENCH_sweep.json fresh_sweep.json --tolerance 15
 //! ```
@@ -475,7 +474,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "mem-model",
             "isolation",
             "mem-limit-mb",
-            "worker-recycle",
             "heartbeat-timeout-ms",
         ],
     )?;
@@ -502,7 +500,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
-            for f in ["mem-limit-mb", "worker-recycle", "heartbeat-timeout-ms"] {
+            for f in ["mem-limit-mb", "heartbeat-timeout-ms"] {
                 if flags.get(f).is_some() {
                     return Err(usage_err(format!("--{f} requires --isolation process")));
                 }
@@ -519,10 +517,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
                     return Err(usage_err("--mem-limit-mb must be a positive MiB count"));
                 }
                 cfg.mem_limit_mb = Some(mb);
-            }
-            cfg.recycle_after = flags.num("worker-recycle", cfg.recycle_after)?;
-            if cfg.recycle_after == 0 {
-                return Err(usage_err("--worker-recycle must be a positive job count"));
             }
             let hb: u64 = flags.num(
                 "heartbeat-timeout-ms",
@@ -543,6 +537,15 @@ fn cmd_bench(args: &[String]) -> CliResult {
         }
     };
 
+    // Crash-injection hook for the resume tests: die (exit 86) after the
+    // nth checkpoint lands, as an uncontrolled kill would. A value that
+    // cannot take effect would leave such a test testing nothing.
+    let die_after = redsoc::bench::die_after_jobs().map_err(usage_err)?;
+    if die_after.is_some() && flags.get("resume").is_none() && flags.get("journal").is_none() {
+        return Err(usage_err(
+            "REDSOC_DIE_AFTER_JOBS counts journal appends: it needs --journal or --resume",
+        ));
+    }
     let mut journal = match (flags.get("resume"), flags.get("journal")) {
         (Some(_), Some(_)) => {
             return Err(usage_err(
@@ -566,15 +569,8 @@ fn cmd_bench(args: &[String]) -> CliResult {
         })?),
         (None, None) => None,
     };
-    // Crash-injection hook for the resume tests: die (exit 86) after the
-    // nth checkpoint lands, as an uncontrolled kill would.
     if let Some(j) = journal.as_mut() {
-        if let Some(n) = std::env::var("REDSOC_DIE_AFTER_JOBS")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            j.set_die_after(Some(n));
-        }
+        j.set_die_after(die_after);
         let restored = j.restored().len();
         if restored > 0 {
             println!(
@@ -640,280 +636,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
     );
     println!("wrote {out}");
     partial_error(&grid)
-}
-
-/// Seeded xorshift64: the chaos harness's only randomness source, so a
-/// given `--seed` replays the same kill schedule.
-fn xorshift64(s: &mut u64) -> u64 {
-    let mut x = *s;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *s = x;
-    x
-}
-
-/// Chaos kill-loop: prove the journal/resume path end to end by
-/// repeatedly SIGKILLing a real child sweep mid-sweep and resuming it,
-/// then comparing the final sweep document against an uninterrupted
-/// in-process reference. Kill points are driven by `--seed` through the
-/// journal's observable growth (a new line means a cell completed); the
-/// cells running at the kill are lost and re-run from cycle 0 on resume.
-fn cmd_chaos(args: &[String]) -> CliResult {
-    use redsoc::bench::json::Json;
-    let flags = Flags::parse(
-        args,
-        &["threads", "len", "kills", "seed", "dir", "worker-kills"],
-    )?;
-    let threads = flags.num_or("threads", redsoc::bench::threads)?.max(1);
-    let len: u64 = flags.num("len", 20_000)?;
-    let kills: u64 = flags.num("kills", 5u64)?;
-    if kills == 0 {
-        return Err(usage_err("--kills must be a positive kill count"));
-    }
-    let seed: u64 = flags.num("seed", 0u64)?;
-    let keep_dir = flags.get("dir").is_some();
-    let dir = match flags.get("dir") {
-        Some(d) => std::path::PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("redsoc-chaos-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
-
-    // The uninterrupted reference, in-process: what the chaotic run must
-    // reproduce byte-identically after canonicalisation.
-    println!("chaos: reference sweep (len {len}, {threads} thread(s), no interruptions)");
-    let cache = redsoc::bench::TraceCache::new(len);
-    let grid = run_grid_isolated(
-        &cache,
-        &Benchmark::all(),
-        &redsoc::bench::cores(),
-        &Mode::all(),
-        threads,
-        &SupervisorConfig::default(),
-        None,
-        &Isolation::Thread,
-    );
-    if !grid.fully_ok() {
-        return Err(CliError::Sim(
-            "reference sweep has failed cells; a chaos comparison would be meaningless".into(),
-        ));
-    }
-    let reference = canonicalize_sweep(&sweep_json(&grid, len));
-    let reference_path = dir.join("reference.json");
-    std::fs::write(&reference_path, sweep_json(&grid, len).pretty())
-        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", reference_path.display())))?;
-
-    let exe = std::env::current_exe()
-        .map_err(|e| CliError::Io(format!("cannot locate own binary: {e}")))?;
-
-    // Worker-kill storm: instead of killing the whole child sweep, run it
-    // under process isolation and SIGKILL/SIGABRT its *workers* while it
-    // runs. The sweep itself must survive every storm hit (exit 0) —
-    // killed attempts retry onto fresh workers — and still reproduce the
-    // thread-isolation reference exactly. This proves both containment
-    // and thread/process result equivalence in one check.
-    let worker_kills: u64 = flags.num("worker-kills", 0u64)?;
-    if worker_kills > 0 {
-        let journal = dir.join("chaos-workers.jnl");
-        let out = dir.join("chaos-workers.json");
-        std::fs::remove_file(&journal).ok();
-        let mut child = {
-            let mut c = std::process::Command::new(&exe);
-            c.arg("bench")
-                .args(["--threads", &threads.to_string()])
-                .args(["--len", &len.to_string()])
-                .args(["--isolation", "process"])
-                // Deep retry budget: every storm hit must be absorbable.
-                .args(["--max-retries", "8"])
-                .arg("--journal")
-                .arg(&journal)
-                .arg("--out")
-                .arg(&out)
-                .env_remove("REDSOC_FAULT")
-                .env_remove("REDSOC_DIE_AFTER_JOBS")
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::null());
-            c.spawn()
-                .map_err(|e| CliError::Io(format!("cannot spawn child sweep: {e}")))?
-        };
-        let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
-        if rng == 0 {
-            rng = 0x2545_F491_4F6C_DD1D;
-        }
-        let mut performed = 0u64;
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
-        while performed < worker_kills {
-            if let Some(status) = child
-                .try_wait()
-                .map_err(|e| CliError::Io(format!("cannot poll child sweep: {e}")))?
-            {
-                return Err(CliError::Io(format!(
-                    "child sweep completed ({status}) after only {performed} of \
-                     {worker_kills} worker kill(s); use a longer --len or fewer kills"
-                )));
-            }
-            if std::time::Instant::now() > deadline {
-                child.kill().ok();
-                child.wait().ok();
-                return Err(CliError::Io(
-                    "could not land the requested worker kills within 300s".into(),
-                ));
-            }
-            let workers = redsoc::bench::pool::worker_children_of(child.id());
-            if workers.is_empty() {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                continue;
-            }
-            let victim = workers[(xorshift64(&mut rng) as usize) % workers.len()];
-            // Alternate SIGKILL (no cleanup at all) and SIGABRT (the
-            // failure path a real crash takes) by seeded coin flip.
-            let signal = if xorshift64(&mut rng) & 1 == 0 { 9 } else { 6 };
-            if redsoc::bench::pool::kill_pid(victim, signal) {
-                performed += 1;
-                println!(
-                    "chaos: worker kill {performed}/{worker_kills} \
-                     (pid {victim}, signal {signal})"
-                );
-            }
-            std::thread::sleep(std::time::Duration::from_millis(
-                10 + (xorshift64(&mut rng) % 40),
-            ));
-        }
-        let status = child
-            .wait()
-            .map_err(|e| CliError::Io(format!("cannot wait for child sweep: {e}")))?;
-        if !status.success() {
-            return Err(CliError::Io(format!(
-                "process-isolated sweep did not absorb the worker kills ({status}); \
-                 artifacts kept in {}",
-                dir.display()
-            )));
-        }
-        let text = std::fs::read_to_string(&out)
-            .map_err(|e| CliError::Io(format!("cannot read {}: {e}", out.display())))?;
-        let doc = Json::parse(&text)
-            .map_err(|e| CliError::Io(format!("storm sweep output is not valid JSON: {e}")))?;
-        if canonicalize_sweep(&doc) == reference {
-            println!(
-                "chaos: survived {worker_kills} worker kill(s); process-isolated sweep is \
-                 identical to the uninterrupted thread-isolation reference after \
-                 canonicalisation"
-            );
-            if !keep_dir {
-                std::fs::remove_dir_all(&dir).ok();
-            }
-            return Ok(());
-        }
-        return Err(CliError::Io(format!(
-            "storm sweep differs from the uninterrupted reference; artifacts kept in {} \
-             (compare with: redsoc sweepcmp {} {})",
-            dir.display(),
-            reference_path.display(),
-            out.display()
-        )));
-    }
-
-    let journal = dir.join("chaos.jnl");
-    let out = dir.join("chaos.json");
-    std::fs::remove_file(&journal).ok();
-    let spawn = |resume: bool| -> Result<std::process::Child, CliError> {
-        let mut c = std::process::Command::new(&exe);
-        c.arg("bench")
-            .args(["--threads", &threads.to_string()])
-            .args(["--len", &len.to_string()])
-            .arg("--out")
-            .arg(&out)
-            .arg(if resume { "--resume" } else { "--journal" })
-            .arg(&journal)
-            // The children must run clean: the chaos harness *is* the
-            // fault injector here.
-            .env_remove("REDSOC_FAULT")
-            .env_remove("REDSOC_DIE_AFTER_JOBS")
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null());
-        c.spawn()
-            .map_err(|e| CliError::Io(format!("cannot spawn child sweep: {e}")))
-    };
-    let journal_lines = || std::fs::read_to_string(&journal).map_or(0, |t| t.lines().count());
-
-    let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
-    if rng == 0 {
-        rng = 0x2545_F491_4F6C_DD1D;
-    }
-    let mut performed = 0u64;
-    while performed < kills {
-        let mut child = spawn(performed > 0)?;
-        // Kill after the journal gains 1–2 more lines: right on the heels
-        // of a record landing, i.e. mid-sweep with other cells mid-job.
-        let target = journal_lines() + 1 + (xorshift64(&mut rng) as usize & 1);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-        loop {
-            if let Some(status) = child
-                .try_wait()
-                .map_err(|e| CliError::Io(format!("cannot poll child sweep: {e}")))?
-            {
-                return Err(CliError::Io(format!(
-                    "child sweep completed ({status}) after only {performed} of {kills} \
-                     kill(s); use a longer --len or fewer --kills"
-                )));
-            }
-            if journal_lines() >= target {
-                child.kill().ok();
-                child.wait().ok();
-                performed += 1;
-                println!(
-                    "chaos: kill {performed}/{kills} at {} journal line(s)",
-                    journal_lines()
-                );
-                break;
-            }
-            if std::time::Instant::now() > deadline {
-                child.kill().ok();
-                child.wait().ok();
-                return Err(CliError::Io(
-                    "child sweep made no journal progress within 120s".into(),
-                ));
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-    }
-
-    // Final, uninterrupted resume: must finish everything that survived
-    // the kills.
-    println!("chaos: final resume to completion");
-    let status = spawn(true)?
-        .wait()
-        .map_err(|e| CliError::Io(format!("cannot wait for final resume: {e}")))?;
-    if !status.success() {
-        return Err(CliError::Io(format!(
-            "final resume run failed ({status}); artifacts kept in {}",
-            dir.display()
-        )));
-    }
-
-    let text = std::fs::read_to_string(&out)
-        .map_err(|e| CliError::Io(format!("cannot read {}: {e}", out.display())))?;
-    let doc = Json::parse(&text)
-        .map_err(|e| CliError::Io(format!("chaotic sweep output is not valid JSON: {e}")))?;
-    if canonicalize_sweep(&doc) == reference {
-        println!(
-            "chaos: survived {kills} mid-sweep kill(s); resumed sweep is identical to the \
-             uninterrupted reference after canonicalisation"
-        );
-        if !keep_dir {
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        Ok(())
-    } else {
-        Err(CliError::Io(format!(
-            "resumed sweep differs from the uninterrupted reference; \
-             artifacts kept in {} (compare with: redsoc sweepcmp {} {})",
-            dir.display(),
-            reference_path.display(),
-            out.display()
-        )))
-    }
 }
 
 /// The child half of `bench --isolation process`: speak the frame
@@ -1248,18 +970,9 @@ fn usage() -> String {
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
      \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
-     \x20                          --worker-recycle N  retire workers after N jobs,\n\
-     \x20                          --heartbeat-timeout-ms N  kill silent workers)\n\
+     \x20                          --heartbeat-timeout-ms N  kill frozen workers)\n\
      \x20 worker [flags]           internal: one pool worker child (spawned by\n\
      \x20                          bench --isolation process; speaks frames on stdio)\n\
-     \x20 chaos [flags]            crash-safety proof: SIGKILL a child sweep mid-sweep\n\
-     \x20                          --kills times (default 5), resume each time, and\n\
-     \x20                          require the final sweep to match an uninterrupted\n\
-     \x20                          reference (--seed N  --len N  --threads N\n\
-     \x20                          --dir DIR keeps artifacts;\n\
-     \x20                          --worker-kills N  storm mode: SIGKILL/SIGABRT the\n\
-     \x20                          workers of a process-isolated sweep instead — the\n\
-     \x20                          sweep must absorb every kill and still match)\n\
      \x20 sweepcmp <a> <b>         compare two sweep JSONs, ignoring wall-clock and thread count\n\
      \x20 perfgate <base> <fresh>  perf-regression gate: fail if <fresh> is more than\n\
      \x20                          --tolerance percent (default 15) slower in cpu_seconds\n\
@@ -1288,7 +1001,6 @@ fn main() -> ExitCode {
         Some("report") => cmd_report(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
         Some("sweepcmp") => cmd_sweepcmp(&args[1..]),
         Some("perfgate") => cmd_perfgate(&args[1..]),
         Some("fuzz") => cmd_fuzz(&args[1..]),

@@ -7,11 +7,14 @@
 //!    budget) and an injected persistent **panic** (quarantined after
 //!    retries) — the sweep must complete with exactly those two cells
 //!    degraded and every other cell byte-identical to the clean run;
-//! 3. the same faulted sweep **killed mid-run** after five journal
-//!    checkpoints, then **resumed** — the resumed document must be
+//! 3. the same faulted sweep **killed mid-run** three times — after five
+//!    journal checkpoints, then seven and three more on resume — then
+//!    **resumed** to completion: the final document must be
 //!    byte-identical (modulo wall-clock) to the uninterrupted faulted
-//!    run, restoring exactly the five journaled cells;
-//! 4. the CLI's structured exit codes and usage rejection paths.
+//!    run, restoring exactly the fifteen journaled cells;
+//! 4. process isolation: destructive faults, a frozen worker and a worker
+//!    that crashes once each cost at most their own cell;
+//! 5. the CLI's structured exit codes and usage rejection paths.
 //!
 //! Everything runs at a tiny trace length so the whole suite stays in
 //! test-suite time budgets; determinism makes byte-identity meaningful.
@@ -171,15 +174,26 @@ fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
         );
     }
 
-    // 3. Same faulted sweep, journaled, killed after five checkpoints.
-    let out = run(redsoc()
-        .args(bench_args(&dead))
-        .args(["--job-timeout", BUDGET])
-        .args(["--journal", &journal.display().to_string()])
-        .env("REDSOC_FAULT", FAULTS)
-        .env("REDSOC_DIE_AFTER_JOBS", "5"));
-    assert_eq!(exit_code(&out), 86, "injected kill exits 86: {out:?}");
-    assert!(!dead.exists(), "killed sweep must not write its output");
+    // 3. Same faulted sweep, journaled, killed in three generations: after
+    // five checkpoints, then after seven and three more on resume. Each
+    // kill lands just after a record, so the cells still running are lost
+    // and re-run from cycle 0 by the next generation.
+    for (flag, die_after, lines) in [
+        ("--journal", "5", 5),
+        ("--resume", "7", 12),
+        ("--resume", "3", 15),
+    ] {
+        let out = run(redsoc()
+            .args(bench_args(&dead))
+            .args(["--job-timeout", BUDGET])
+            .args([flag, &journal.display().to_string()])
+            .env("REDSOC_FAULT", FAULTS)
+            .env("REDSOC_DIE_AFTER_JOBS", die_after));
+        assert_eq!(exit_code(&out), 86, "kill after {die_after}: {out:?}");
+        assert!(!dead.exists(), "killed sweep must not write its output");
+        let text = std::fs::read_to_string(&journal).expect("journal");
+        assert_eq!(text.lines().count(), lines, "kill after {die_after}");
+    }
 
     // 4. Resume from the journal: only missing cells re-run, and the
     // final document matches the uninterrupted faulted run byte for
@@ -196,7 +210,7 @@ fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("resuming from") && stdout.contains("5 cell(s)"),
+        stdout.contains("resuming from") && stdout.contains("15 cell(s)"),
         "resume reports the restored checkpoint count: {stdout}"
     );
     let resumed_doc = load_sweep(&resumed);
@@ -204,7 +218,7 @@ fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
         .iter()
         .filter(|(_, j)| j.get("restored") == Some(&Json::Bool(true)))
         .count();
-    assert_eq!(restored, 5, "exactly the journaled cells are restored");
+    assert_eq!(restored, 15, "exactly the journaled cells are restored");
     assert_eq!(
         canonicalize_sweep(&faulted_doc).pretty(),
         canonicalize_sweep(&resumed_doc).pretty(),
@@ -242,16 +256,15 @@ fn cli_maps_errors_to_structured_exit_codes() {
         &["fuzz", "--cases", "0"],
         &["fuzz", "--schedulers", "nosuchsched"],
         &["fuzz", "--sabotage", "nope"],
-        &["chaos", "--kills", "0"],
-        &["chaos", "--seed", "frog"],
         // Process-isolation flag validation: the worker knobs make no
         // sense without the process tier, and the degenerate values are
         // operator mistakes.
         &["bench", "--isolation", "warp"],
         &["bench", "--mem-limit-mb", "512"],
-        &["bench", "--worker-recycle", "8"],
         &["bench", "--heartbeat-timeout-ms", "500"],
         &["bench", "--isolation", "process", "--mem-limit-mb", "0"],
+        // Workers recycle after a fixed job count: there is no flag.
+        &["bench", "--worker-recycle", "8"],
         &["bench", "--isolation", "process", "--worker-recycle", "0"],
         &[
             "bench",
@@ -262,7 +275,6 @@ fn cli_maps_errors_to_structured_exit_codes() {
         ],
         &["worker", "--heartbeat-ms", "0"],
         &["worker", "--mem-limit-mb", "0"],
-        &["chaos", "--worker-kills", "frog"],
         &["frobnicate"],
         // Retries do not back off, so there is no backoff flag.
         &["bench", "--backoff-ms", "0"],
@@ -312,16 +324,56 @@ fn cli_maps_errors_to_structured_exit_codes() {
         "usage hint lists accepted flags: {stderr}"
     );
 
-    // Crash recovery is job-granular: there is no in-flight snapshot flag.
-    for cmd in ["bench", "chaos"] {
-        let out = run(redsoc().args([cmd, "--snapshot-interval", "4096"]));
-        assert_eq!(exit_code(&out), 2, "{cmd} --snapshot-interval: {out:?}");
+    // The injected kill must take effect or fail: a value that is not a
+    // positive integer, or one set without a journal to count appends
+    // in, is a usage error naming the variable, raised before anything
+    // is simulated or the journal is created.
+    let dir = tmp_dir("die-after");
+    let journal = dir.join("sweep.jnl");
+    for (value, journaled) in [
+        ("abc", true),
+        ("-3", true),
+        ("", true),
+        ("0", true),
+        ("5", false),
+    ] {
+        let mut cmd = redsoc();
+        cmd.args(["bench", "--len", LEN])
+            .env("REDSOC_DIE_AFTER_JOBS", value);
+        if journaled {
+            cmd.args(["--journal", &journal.display().to_string()]);
+        }
+        let out = run(&mut cmd);
+        let case = format!("REDSOC_DIE_AFTER_JOBS={value:?}, journaled: {journaled}");
+        assert_eq!(exit_code(&out), 2, "{case}: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("unknown flag --snapshot-interval"),
-            "{cmd}: {stderr}"
+            stderr.contains("REDSOC_DIE_AFTER_JOBS"),
+            "{case}: the error names the variable: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{case}: nothing was simulated");
+        assert!(!journal.exists(), "{case}: no journal was created");
     }
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Crash recovery is job-granular (no in-flight snapshot flag), and
+    // workers recycle after a fixed job count (no recycle flag).
+    for flag in ["--snapshot-interval", "--worker-recycle"] {
+        let out = run(redsoc().args(["bench", flag, "8"]));
+        assert_eq!(exit_code(&out), 2, "bench {flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+
+    // Crash safety is proven by the deterministic injectors: there is no
+    // chaos harness, so its old invocation is an unknown command.
+    let out = run(redsoc().args(["chaos", "--kills", "3", "--seed", "7"]));
+    assert_eq!(exit_code(&out), 2, "chaos is an unknown command: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("usage: redsoc <command>") && !stderr.contains("chaos"),
+        "{stderr}"
+    );
 
     // Malformed fault plans are usage errors too.
     let out = run(redsoc()
@@ -434,36 +486,6 @@ fn tail_window_kill_after_last_job_loses_nothing_on_resume() {
     ]));
     assert_eq!(exit_code(&out), 0, "sweepcmp agrees the sweeps match");
 
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn chaos_harness_survives_seeded_kill_loop() {
-    // The built-in chaos harness end to end: three seeded SIGKILLs
-    // mid-sweep, each landing just after a cell's journal record, so the
-    // cells still running are lost and re-run from cycle 0 on resume.
-    // The final document must match the harness's own uninterrupted
-    // in-process reference. Mirrors the CI chaos-smoke step.
-    let dir = tmp_dir("chaos");
-    let out = run(redsoc().args([
-        "chaos",
-        "--threads",
-        THREADS,
-        "--len",
-        LEN,
-        "--kills",
-        "3",
-        "--seed",
-        "7",
-        "--dir",
-        &dir.display().to_string(),
-    ]));
-    assert_eq!(exit_code(&out), 0, "chaos harness must survive: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("kill 3/3") && stdout.contains("identical"),
-        "chaos reports every kill and the final byte-identity: {stdout}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -616,31 +638,74 @@ fn freeze_fault_is_reaped_by_heartbeat_supervision() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[cfg(unix)]
 #[test]
-fn chaos_worker_kill_storm_is_absorbed_with_identical_results() {
-    // The worker-kill storm mode: SIGKILL/SIGABRT three live workers of
-    // a process-isolated child sweep. The sweep must absorb every kill
-    // (exit 0 — retries land on fresh workers) and still reproduce the
-    // thread-isolation reference. Mirrors the CI chaos-worker-smoke step.
-    let dir = tmp_dir("workerstorm");
-    let out = run(redsoc().args([
-        "chaos",
-        "--threads",
-        THREADS,
-        "--len",
-        LEN,
-        "--worker-kills",
-        "3",
-        "--seed",
-        "11",
-        "--dir",
-        &dir.display().to_string(),
-    ]));
-    assert_eq!(exit_code(&out), 0, "storm must be absorbed: {out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("worker kill 3/3") && stdout.contains("identical"),
-        "storm reports every kill and the final identity: {stdout}"
+fn crash_once_worker_is_absorbed_by_a_retry() {
+    // A worker that dies by SIGKILL mid-job costs one retry, not a cell:
+    // the parent classifies the death, discards the worker, and retries
+    // the cell on a fresh one. The first spawn of this worker script
+    // greets the parent and SIGKILLs itself, so the first job shipped to
+    // it finds a dead worker; every later spawn is the real
+    // `redsoc worker`.
+    use std::os::unix::fs::PermissionsExt;
+
+    use redsoc::bench::pool::WorkerPoolConfig;
+    use redsoc::bench::runner::{run_grid_isolated, sweep_json, Isolation, Mode};
+    use redsoc::bench::supervisor::SupervisorConfig;
+    use redsoc::bench::worker::write_frame;
+    use redsoc::bench::TraceCache;
+    use redsoc::workloads::Benchmark;
+
+    let dir = tmp_dir("crash-once");
+    let hello = dir.join("hello.frame");
+    let marker = dir.join("crashed");
+    let script = dir.join("worker.sh");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &Json::obj(vec![("type", Json::str("hello"))])).expect("encode");
+    std::fs::write(&hello, frame).expect("write hello frame");
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\n\
+             if [ ! -e '{marker}' ]; then\n\
+             \x20 : > '{marker}'\n\
+             \x20 cat '{hello}'\n\
+             \x20 kill -KILL $$\n\
+             fi\n\
+             exec '{exe}' \"$@\"\n",
+            marker = marker.display(),
+            hello = hello.display(),
+            exe = env!("CARGO_BIN_EXE_redsoc"),
+        ),
+    )
+    .expect("write worker script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755))
+        .expect("make worker script executable");
+
+    let len = 2_000;
+    let grid = |isolation: &Isolation| {
+        run_grid_isolated(
+            &TraceCache::new(len),
+            &[Benchmark::Crc, Benchmark::Bitcnt],
+            &redsoc::bench::cores()[..1],
+            &Mode::all(),
+            1,
+            &SupervisorConfig::default(),
+            None,
+            isolation,
+        )
+    };
+    let threaded = grid(&Isolation::Thread);
+    let crashed = grid(&Isolation::Process(WorkerPoolConfig::new(script)));
+    assert!(marker.exists(), "the first worker crashed");
+    assert!(crashed.fully_ok(), "the crash is absorbed by a retry");
+    let mut attempts: Vec<u32> = crashed.cells().iter().map(|c| c.attempts).collect();
+    attempts.sort_unstable();
+    assert_eq!(attempts, [1, 1, 1, 1, 1, 1, 1, 2], "one cell retried, once");
+    assert_eq!(
+        canonicalize_sweep(&sweep_json(&crashed, len)).pretty(),
+        canonicalize_sweep(&sweep_json(&threaded, len)).pretty(),
+        "a worker death may cost a retry, never a result"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
