@@ -218,6 +218,23 @@ impl Assembler {
         Ok(())
     }
 
+    /// Reject a data region of `len` bytes that would end past the
+    /// largest memory a `.mem` allows, before it is allocated: the data
+    /// a source can make the assembler hold stays within that memory.
+    fn check_room(&self, len: u64, ln: usize) -> Result<(), AsmError> {
+        let start = self.builder.data_end();
+        if u64::from(start) + len > u64::from(DEFAULT_MEM_SIZE) {
+            return Err(err(
+                ln,
+                format!(
+                    "data region of {len} bytes at {start:#x} ends past the \
+                     {DEFAULT_MEM_SIZE}-byte memory"
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     fn directive_zero(&mut self, rest: &str, ln: usize) -> Result<(), AsmError> {
         let mut it = rest.split_whitespace();
         let name = it
@@ -230,6 +247,7 @@ impl Assembler {
         if !is_ident(name) {
             return Err(err(ln, format!("invalid symbol name {name:?}")));
         }
+        self.check_room(u64::from(len), ln)?;
         let addr = self.builder.alloc_zeroed(len);
         if self.symbols.insert(name.to_string(), addr).is_some() {
             return Err(err(ln, format!("symbol {name:?} defined twice")));
@@ -250,6 +268,7 @@ impl Assembler {
         if words.is_empty() {
             return Err(err(ln, ".words needs at least one value"));
         }
+        self.check_room(4 * words.len() as u64, ln)?;
         let addr = self.builder.alloc_words(&words);
         if self.symbols.insert(name.to_string(), addr).is_some() {
             return Err(err(ln, format!("symbol {name:?} defined twice")));
@@ -258,16 +277,17 @@ impl Assembler {
     }
 
     fn reg(&self, tok: &str, ln: usize) -> Result<ArchReg, AsmError> {
+        let bad = || err(ln, format!("bad register {tok:?}"));
         let t = tok.trim().to_ascii_lowercase();
-        let (class, num) = t.split_at(1);
-        let n: u8 = num
-            .parse()
-            .map_err(|_| err(ln, format!("bad register {tok:?}")))?;
+        // An empty token, or one whose first character is not one byte,
+        // has no class letter to split off.
+        let (class, num) = t.split_at_checked(1).ok_or_else(bad)?;
+        let n: u8 = num.parse().map_err(|_| bad())?;
         match class {
             "r" if n < 32 => Ok(ArchReg::int(n)),
             "v" if n < 16 => Ok(ArchReg::simd(n)),
             "f" if n < 16 => Ok(ArchReg::fp(n)),
-            _ => Err(err(ln, format!("bad register {tok:?}"))),
+            _ => Err(bad()),
         }
     }
 

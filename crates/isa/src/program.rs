@@ -202,6 +202,12 @@ impl ProgramBuilder {
         l
     }
 
+    /// The address the next data region will start at.
+    #[must_use]
+    pub fn data_end(&self) -> u32 {
+        self.next_data
+    }
+
     /// Allocate and initialise a data region; returns its base address.
     pub fn alloc_data(&mut self, bytes: &[u8]) -> u32 {
         let addr = self.next_data;

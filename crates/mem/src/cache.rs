@@ -165,17 +165,26 @@ impl CacheStats {
     }
 }
 
+/// A set's entry in [`Cache::set_base`] until its first touch: the set
+/// holds no way storage, so all of its ways are invalid.
+const UNFILLED: u32 = u32::MAX;
+
 /// A set-associative cache (tags only) with true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Each way is `[tag, stamp]`, so an empty cache is one zeroed
-    /// allocation. `stamp` is `tick << 1 | dirty`, where `tick` counts
-    /// touches and is incremented before each one: a filled way's stamp
-    /// is at least 2, 0 marks an invalid way, and since ticks are
-    /// distinct, a smaller stamp is an older touch whatever the dirty
-    /// bits. The dirty flag is not kept in the tag word because with
-    /// 1-byte lines in a single set a tag uses all 64 bits.
+    /// Per set: the index in `ways` of its first way, or [`UNFILLED`].
+    /// A set's ways are appended the first time it is touched, so a
+    /// fresh cache zeroes no way storage and a short run pays only for
+    /// the sets it uses.
+    set_base: Vec<u32>,
+    /// Each way is `[tag, stamp]`. `stamp` is `tick << 1 | dirty`, where
+    /// `tick` counts touches and is incremented before each one: a
+    /// filled way's stamp is at least 2, 0 marks an invalid way, and
+    /// since ticks are distinct, a smaller stamp is an older touch
+    /// whatever the dirty bits. The dirty flag is not kept in the tag
+    /// word because with 1-byte lines in a single set a tag uses all 64
+    /// bits.
     ways: Vec<[u64; 2]>,
     tick: u64,
     stats: CacheStats,
@@ -207,7 +216,10 @@ impl Cache {
         config.validate()?;
         Ok(Cache {
             config,
-            ways: vec![[0; 2]; (config.sets() * config.ways) as usize],
+            set_base: vec![UNFILLED; config.sets() as usize],
+            // Reserved, not zeroed: `touch` appends each set's ways on
+            // its first use.
+            ways: Vec::with_capacity((config.sets() * config.ways) as usize),
             tick: 0,
             stats: CacheStats::default(),
         })
@@ -219,22 +231,29 @@ impl Cache {
         self.config
     }
 
-    /// The ways of the set `addr` maps to, and the tag it carries.
-    fn set_and_tag(&self, addr: u64) -> (Range<usize>, u64) {
+    /// The set `addr` maps to, and the tag it carries.
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr / u64::from(self.config.line_bytes);
         let sets = u64::from(self.config.sets());
-        let w = self.config.ways as usize;
-        let base = (line % sets) as usize * w;
-        (base..base + w, line / sets)
+        ((line % sets) as usize, line / sets)
     }
 
-    /// Probe without modifying state: is the line present?
+    /// The ways of a filled set whose first way is at `base`.
+    fn ways_at(&self, base: u32) -> Range<usize> {
+        let base = base as usize;
+        base..base + self.config.ways as usize
+    }
+
+    /// Probe without modifying state: is the line present? An untouched
+    /// set misses without gaining way storage.
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.ways[set]
-            .iter()
-            .any(|&[t, stamp]| stamp != 0 && t == tag)
+        let base = self.set_base[set];
+        base != UNFILLED
+            && self.ways[self.ways_at(base)]
+                .iter()
+                .any(|&[t, stamp]| stamp != 0 && t == tag)
     }
 
     /// Demand access. Returns `true` on hit. On miss the line is filled
@@ -261,7 +280,18 @@ impl Cache {
         self.tick += 1;
         let stamp = self.tick << 1 | u64::from(is_write);
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.ways[set];
+        let mut base = self.set_base[set];
+        if base == UNFILLED {
+            // First touch: append the set's ways, all invalid. A valid
+            // geometry has fewer than `UNFILLED` ways, so no base
+            // collides with it.
+            base = self.ways.len() as u32;
+            self.set_base[set] = base;
+            self.ways
+                .resize(self.ways.len() + self.config.ways as usize, [0; 2]);
+        }
+        let range = self.ways_at(base);
+        let ways = &mut self.ways[range];
         if let Some(way) = ways.iter_mut().find(|[t, s]| *s != 0 && *t == tag) {
             way[1] = stamp | (way[1] & 1);
             return true;
@@ -360,6 +390,31 @@ mod tests {
     fn probe_is_side_effect_free() {
         let c = tiny();
         assert!(!c.probe(0x123));
+    }
+
+    #[test]
+    fn sets_gain_way_storage_on_first_touch() {
+        let config = CacheConfig::l2_2m();
+        let ways = config.ways as usize;
+        let mut c = Cache::new(config);
+        assert!(c.ways.is_empty(), "a fresh L2 holds no way storage");
+        assert!(c.ways.capacity() >= (config.sets() as usize) * ways);
+        assert!(!c.probe(0x4_0000), "an untouched set misses");
+        assert!(
+            c.ways.is_empty(),
+            "probing an untouched set allocates nothing"
+        );
+        assert!(!c.access(0x4_0000, false));
+        assert_eq!(c.ways.len(), ways, "one access fills one set");
+        assert!(c.probe(0x4_0000) && c.access(0x4_0000, false));
+        // Another line of the same set reuses its ways; another set
+        // appends its own.
+        let set_stride = u64::from(config.sets() * config.line_bytes);
+        assert!(!c.access(0x4_0000 + set_stride, false));
+        assert_eq!(c.ways.len(), ways);
+        assert!(!c.access(0x4_0040, false));
+        assert_eq!(c.ways.len(), 2 * ways);
+        assert!(c.probe(0x4_0000) && c.probe(0x4_0000 + set_stride));
     }
 
     /// A naive reference model: per set, a most-recent-first list of

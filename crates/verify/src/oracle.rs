@@ -1,9 +1,8 @@
 //! The lockstep differential oracle.
 //!
-//! Every candidate program is executed five ways — once architecturally
-//! through the functional interpreter and once through the full
-//! out-of-order pipeline under each scheduling policy — and the runs are
-//! compared:
+//! Every candidate program is executed once architecturally through the
+//! functional interpreter and once through the full out-of-order
+//! pipeline under each scheduling policy, and the runs are compared:
 //!
 //! - the **committed instruction stream** (`Commit` events: sequence
 //!   number and PC, in retirement order) of every pipeline run must equal
@@ -11,24 +10,31 @@
 //! - the **final architectural state** (all 65 registers plus memory) is
 //!   recomputed by replaying exactly the committed instruction count
 //!   through a fresh interpreter and must equal the reference state
-//!   exactly for every run (a mismatch is reported by digest);
+//!   exactly (a mismatch is reported by digest). The first check pins
+//!   every run's committed count to the trace length, so the replay runs
+//!   once per case;
 //! - per-run **timing invariants** must hold: non-zero cycle count, the
 //!   stall-attribution partition summing to the cycle count, in-order
 //!   commit, skewed-select ordering (no grandparent-speculative grant
 //!   ahead of a non-speculative one within a cycle and pool) and
 //!   completion-instant monotonicity along register dependence chains.
 //!
+//! A run records only what these checks read, as its events arrive, plus
+//! a ring of its last events for a failed run's error. TS shares the
+//! baseline run ([`SchedKind::Ts`]), so a case under all four policies
+//! simulates three pipelines: baseline, ReDSOC and MOS.
+//!
 //! The skew and GP-mispeculation checks are driven by what the oracle
 //! *requested* (`skewed_select` in the core configuration), not by what
 //! the scheduler claims — that is how the intentionally sabotaged
 //! scheduler ([`RedsocScheduler::with_inverted_skew`]) is caught.
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use redsoc_core::events::{PipeEvent, VecSink};
+use redsoc_core::events::{EventSink, PipeEvent, RingSink};
 use redsoc_core::fu::PoolKind;
 use redsoc_core::sched::redsoc::RedsocScheduler;
-use redsoc_core::sched::ts::TsScheduler;
 use redsoc_core::{CoreConfig, SchedulerConfig, SimReport, Simulator};
 use redsoc_isa::interp::Interpreter;
 use redsoc_isa::prelude::*;
@@ -43,7 +49,16 @@ pub enum SchedKind {
     Redsoc,
     /// MOS dynamic operation fusion.
     Mos,
-    /// Timing-speculation comparator (baseline mechanism, scaled clock).
+    /// Timing-speculation comparator: the baseline scheduler under a
+    /// shortened clock. The oracle never applies that clock
+    /// (`ts_config`), and
+    /// [`TsScheduler`](redsoc_core::sched::ts::TsScheduler) overrides
+    /// no scheduler hook, so on the oracle's core a TS run is the
+    /// baseline run, event for event. The oracle therefore checks TS on
+    /// the baseline run: a case simulates it once, blames a failure on
+    /// whichever of the two kinds it lists first, and records its cycles
+    /// under both. `tests/fuzz_regressions.rs` fails the day the two
+    /// schedulers' runs differ.
     Ts,
 }
 
@@ -73,12 +88,18 @@ impl SchedKind {
         SchedKind::ALL.into_iter().find(|k| k.label() == s)
     }
 
+    /// Whether this policy's run is the baseline run (see
+    /// [`SchedKind::Ts`]).
+    fn shares_baseline_run(self) -> bool {
+        matches!(self, SchedKind::Baseline | SchedKind::Ts)
+    }
+
     /// The scheduler configuration this policy runs under.
     #[must_use]
     fn sched_config(self) -> SchedulerConfig {
         match self {
-            // TS uses the baseline mechanism; clock rescaling is a
-            // wall-time transform and does not affect correctness.
+            // TS uses the baseline mechanism; the oracle does not
+            // rescale its clock.
             SchedKind::Baseline | SchedKind::Ts => SchedulerConfig::baseline(),
             SchedKind::Redsoc => SchedulerConfig::redsoc(),
             SchedKind::Mos => SchedulerConfig::mos(),
@@ -261,11 +282,11 @@ fn state_digest(interp: &Interpreter, mem_size: u32) -> u64 {
     h
 }
 
-/// Events gathered from one pipeline run, reduced to what the checks
-/// need. The per-op tables are indexed by seq: an interpreter trace's
+/// What the checks read of one pipeline run, recorded as its events
+/// arrive. The per-op tables are indexed by seq: an interpreter trace's
 /// seqs are `0..trace.len()`, and events for any other seq are dropped.
+/// Every other event only passes through the post-mortem ring.
 struct RunView {
-    report: SimReport,
     commits: Vec<(u64, u32)>,
     /// Pool of each op, from dispatch events.
     pools: Vec<Option<PoolKind>>,
@@ -275,13 +296,71 @@ struct RunView {
     broadcasts: Vec<Option<(u64, u64)>>,
     /// Whether each op took a tag-misprediction fallback.
     tag_misses: Vec<bool>,
+    /// The last [`RingSink::DEFAULT_CAP`] events of any kind, for the
+    /// dump a failed run's error carries.
+    last: VecDeque<(u64, PipeEvent)>,
 }
 
-fn run_one(kind: SchedKind, trace: &[DynOp], cfg: &OracleConfig) -> Result<RunView, Divergence> {
+impl RunView {
+    /// An empty view for a trace of `n` ops.
+    fn new(n: usize) -> Self {
+        RunView {
+            commits: Vec::with_capacity(n),
+            pools: vec![None; n],
+            grants: Vec::new(),
+            broadcasts: vec![None; n],
+            tag_misses: vec![false; n],
+            last: VecDeque::with_capacity(RingSink::DEFAULT_CAP),
+        }
+    }
+}
+
+impl EventSink for RunView {
+    fn record(&mut self, cycle: u64, ev: &PipeEvent) {
+        if self.last.len() == RingSink::DEFAULT_CAP {
+            self.last.pop_front();
+        }
+        self.last.push_back((cycle, *ev));
+        match *ev {
+            PipeEvent::Commit { seq, pc } => self.commits.push((seq, pc)),
+            PipeEvent::Dispatch { seq, pool, .. } => {
+                if let Some(slot) = self.pools.get_mut(seq as usize) {
+                    *slot = Some(pool);
+                }
+            }
+            PipeEvent::SelectGrant { seq, spec } => self.grants.push((cycle, seq, spec)),
+            PipeEvent::CiBroadcast { seq, avail_tick } => {
+                if let Some(slot) = self.broadcasts.get_mut(seq as usize) {
+                    let first = slot.map_or(avail_tick, |(first, _)| first);
+                    *slot = Some((first, avail_tick));
+                }
+            }
+            PipeEvent::TagMispredict { seq, .. } => {
+                if let Some(slot) = self.tag_misses.get_mut(seq as usize) {
+                    *slot = true;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The same dump as `VecSink::recent`.
+    fn recent(&self) -> Vec<String> {
+        self.last
+            .iter()
+            .map(|(c, e)| format!("cycle {c}: {e:?}"))
+            .collect()
+    }
+}
+
+fn run_one(
+    kind: SchedKind,
+    trace: &[DynOp],
+    cfg: &OracleConfig,
+) -> Result<(SimReport, RunView), Divergence> {
     let core = cfg.core.clone().with_sched(kind.sched_config());
-    let mut sink = VecSink::new();
+    let mut view = RunView::new(trace.len());
     let sim = match kind {
-        SchedKind::Ts => Simulator::with_scheduler(core, Box::new(TsScheduler)),
         SchedKind::Redsoc if cfg.sabotage_redsoc => {
             let sched = RedsocScheduler::from_config(&core.sched).with_inverted_skew();
             Simulator::with_scheduler(core, Box::new(sched))
@@ -289,44 +368,12 @@ fn run_one(kind: SchedKind, trace: &[DynOp], cfg: &OracleConfig) -> Result<RunVi
         _ => Simulator::new(core),
     };
     let report = sim
-        .and_then(|s| s.run_events(trace.iter().copied(), &mut sink))
+        .and_then(|s| s.run_events(trace.iter().copied(), &mut view))
         .map_err(|e| Divergence::SimFailed {
             sched: kind,
             error: e.to_string(),
         })?;
-    let n = trace.len();
-    let mut view = RunView {
-        report,
-        commits: Vec::new(),
-        pools: vec![None; n],
-        grants: Vec::new(),
-        broadcasts: vec![None; n],
-        tag_misses: vec![false; n],
-    };
-    for (cycle, ev) in &sink.events {
-        match *ev {
-            PipeEvent::Commit { seq, pc } => view.commits.push((seq, pc)),
-            PipeEvent::Dispatch { seq, pool, .. } => {
-                if let Some(slot) = view.pools.get_mut(seq as usize) {
-                    *slot = Some(pool);
-                }
-            }
-            PipeEvent::SelectGrant { seq, spec } => view.grants.push((*cycle, seq, spec)),
-            PipeEvent::CiBroadcast { seq, avail_tick } => {
-                if let Some(slot) = view.broadcasts.get_mut(seq as usize) {
-                    let first = slot.map_or(avail_tick, |(first, _)| first);
-                    *slot = Some((first, avail_tick));
-                }
-            }
-            PipeEvent::TagMispredict { seq, .. } => {
-                if let Some(slot) = view.tag_misses.get_mut(seq as usize) {
-                    *slot = true;
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(view)
+    Ok((report, view))
 }
 
 /// Check one invariant family: skewed-select ordering. Within a cycle
@@ -422,8 +469,17 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
     let trace: Vec<DynOp> = trace.into_iter().collect();
 
     let mut cycles = Vec::new();
+    let mut state_checked = false;
+    // Cycles of the run that baseline and TS share (see `SchedKind::Ts`).
+    let mut shared_cycles = None;
     for &kind in &cfg.scheds {
-        let view = run_one(kind, &trace, cfg)?;
+        if kind.shares_baseline_run() {
+            if let Some(c) = shared_cycles {
+                cycles.push((kind, c));
+                continue;
+            }
+        }
+        let (rep, view) = run_one(kind, &trace, cfg)?;
 
         // 1. Committed stream == architectural trace, element for element.
         let n = trace.len().max(view.commits.len());
@@ -441,23 +497,27 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
         }
 
         // 2. Final architectural state: replay exactly the committed
-        // count through a fresh interpreter and compare state.
-        let mut replay = Interpreter::new(program);
-        replay
-            .run(view.commits.len() as u64)
-            .map_err(|e| Divergence::ExecFault {
-                error: format!("replay fault: {e}"),
-            })?;
-        if !same_state(&interp, &replay, program.mem_size()) {
-            return Err(Divergence::StateMismatch {
-                sched: kind,
-                expected: state_digest(&interp, program.mem_size()),
-                got: state_digest(&replay, program.mem_size()),
-            });
+        // count through a fresh interpreter and compare state. Check 1
+        // pinned that count to `trace.len()`, so every run replays the
+        // same prefix to the same verdict: the first run computes it.
+        if !state_checked {
+            let mut replay = Interpreter::new(program);
+            replay
+                .run(view.commits.len() as u64)
+                .map_err(|e| Divergence::ExecFault {
+                    error: format!("replay fault: {e}"),
+                })?;
+            if !same_state(&interp, &replay, program.mem_size()) {
+                return Err(Divergence::StateMismatch {
+                    sched: kind,
+                    expected: state_digest(&interp, program.mem_size()),
+                    got: state_digest(&replay, program.mem_size()),
+                });
+            }
+            state_checked = true;
         }
 
         // 3. Timing invariants.
-        let rep = &view.report;
         if rep.cycles == 0 {
             return Err(Divergence::TimingViolation {
                 sched: kind,
@@ -507,6 +567,9 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
         }
         check_ci_monotone(kind, &trace, &view)?;
 
+        if kind.shares_baseline_run() {
+            shared_cycles = Some(rep.cycles);
+        }
         cycles.push((kind, rep.cycles));
     }
     Ok(CaseOk {
@@ -518,6 +581,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redsoc_core::events::VecSink;
 
     fn chain_program() -> Program {
         let mut b = ProgramBuilder::new();
@@ -542,6 +606,72 @@ mod tests {
         for (kind, cycles) in &ok.cycles {
             assert!(*cycles > 0, "{kind} must take cycles");
         }
+    }
+
+    #[test]
+    fn baseline_and_ts_share_one_run() {
+        let program = chain_program();
+        let cfg = |scheds: &[SchedKind]| OracleConfig {
+            scheds: scheds.to_vec(),
+            ..OracleConfig::new(CoreConfig::big())
+        };
+        let all = check_program(&program, &cfg(&SchedKind::ALL)).expect("no divergence");
+        let cycles_of = |kind| all.cycles.iter().find(|c| c.0 == kind).map(|c| c.1);
+        assert_eq!(cycles_of(SchedKind::Ts), cycles_of(SchedKind::Baseline));
+        assert_eq!(
+            all.cycles.iter().map(|c| c.0).collect::<Vec<_>>(),
+            SchedKind::ALL,
+            "cycles keep the requested order"
+        );
+
+        // TS alone still simulates the baseline run.
+        let ts = check_program(&program, &cfg(&[SchedKind::Ts])).expect("no divergence");
+        assert_eq!(
+            ts.cycles,
+            vec![(SchedKind::Ts, cycles_of(SchedKind::Ts).expect("ts"))]
+        );
+
+        // Whichever of the two comes first is simulated, and blamed: a
+        // core that fails validation fails that run.
+        let mut broken = CoreConfig::big();
+        broken.alu_units = 0;
+        for (scheds, blamed) in [
+            (vec![SchedKind::Ts], SchedKind::Ts),
+            (vec![SchedKind::Ts, SchedKind::Baseline], SchedKind::Ts),
+            (
+                vec![SchedKind::Baseline, SchedKind::Ts],
+                SchedKind::Baseline,
+            ),
+        ] {
+            let cfg = OracleConfig {
+                scheds,
+                ..OracleConfig::new(broken.clone())
+            };
+            match check_program(&program, &cfg) {
+                Err(Divergence::SimFailed { sched, .. }) => assert_eq!(sched, blamed),
+                other => panic!("expected {blamed} to fail, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn run_view_dumps_what_a_vec_sink_dumps() {
+        let trace: Vec<DynOp> = Interpreter::new(&chain_program())
+            .run(4096)
+            .expect("no fault")
+            .into_iter()
+            .collect();
+        let core = CoreConfig::big();
+        let mut view = RunView::new(trace.len());
+        let mut all = VecSink::new();
+        Simulator::new(core.clone())
+            .and_then(|s| s.run_events(trace.iter().copied(), &mut view))
+            .expect("runs");
+        Simulator::new(core)
+            .and_then(|s| s.run_events(trace.iter().copied(), &mut all))
+            .expect("runs");
+        assert!(all.events.len() > RingSink::DEFAULT_CAP, "the ring wraps");
+        assert_eq!(view.recent(), all.recent());
     }
 
     #[test]

@@ -11,13 +11,23 @@
 //! - repros whose recorded divergence blames `[redsoc]` must still
 //!   reproduce under the inverted-skew fault injection, proving the
 //!   fixture actually exercises the invariant it was shrunk for.
+//!
+//! The suite also guards the oracle's one shortcut: TS shares the
+//! baseline run, which holds only while `TsScheduler` drives the
+//! pipeline exactly as the baseline scheduler does.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use proptest::TestRng;
+use redsoc::core::sched::ts::TsScheduler;
 use redsoc::isa::asm::assemble;
+use redsoc::isa::interp::Interpreter;
+use redsoc::mem::MemModelConfig;
+use redsoc::prelude::*;
+use redsoc::verify::gen::{gen_case, GenKnobs};
 use redsoc::verify::oracle::{check_program, Divergence, OracleConfig, SchedKind};
-use redsoc::verify::{core_by_name, mem_model_by_label};
+use redsoc::verify::{case_seed, core_by_name, fuzz_contended, mem_model_by_label, FuzzConfig};
 
 /// All committed repro files, sorted for deterministic test order.
 fn repro_files() -> Vec<PathBuf> {
@@ -127,4 +137,58 @@ fn redsoc_repros_still_diverge_under_fault_injection() {
         exercised > 0,
         "no repro fixture exercises the redsoc invariants"
     );
+}
+
+/// The oracle simulates baseline and TS once between them
+/// (`SchedKind::Ts`): TS is the baseline scheduler under a shortened
+/// clock the oracle never applies. This fails the day `TsScheduler`
+/// changes what the pipeline does. Every committed repro and 200
+/// generated cases must give identical event streams and reports under
+/// both schedulers, on every core and under both memory models.
+#[test]
+fn ts_scheduler_reproduces_the_baseline_run() {
+    let mut programs: Vec<(String, Program)> = repro_files()
+        .iter()
+        .map(|path| {
+            let source = fs::read_to_string(path).expect("repro is readable");
+            let program = assemble(&source).expect("repro assembles");
+            let name = path.file_name().expect("repro file name");
+            (name.to_string_lossy().into_owned(), program)
+        })
+        .collect();
+    let fuzz = FuzzConfig::new(1, 200);
+    for case in 0..fuzz.cases {
+        let mut rng = TestRng::seed_from_u64(case_seed(fuzz.seed, case));
+        let knobs = GenKnobs::sampled(&mut rng, fuzz.max_instrs);
+        let program = gen_case(&mut rng, &knobs).build().expect("case lowers");
+        programs.push((format!("seed 1 case {case}"), program));
+    }
+    for (name, program) in &programs {
+        let trace: Vec<DynOp> = Interpreter::new(program)
+            .run(4096)
+            .expect("program runs")
+            .into_iter()
+            .collect();
+        for core_name in ["big", "medium", "small"] {
+            for mem in [MemModelConfig::Classic, fuzz_contended()] {
+                let core = core_by_name(core_name)
+                    .expect("known core")
+                    .with_mem_model(mem)
+                    .with_sched(SchedulerConfig::baseline());
+                let run = |sim: Result<Simulator, SimError>| {
+                    let mut sink = VecSink::new();
+                    let report = sim
+                        .and_then(|s| s.run_events(trace.iter().copied(), &mut sink))
+                        .unwrap_or_else(|e| panic!("{name} on {core_name}: {e}"));
+                    (report, sink.events)
+                };
+                let baseline = run(Simulator::new(core.clone()));
+                let ts = run(Simulator::with_scheduler(core, Box::new(TsScheduler)));
+                assert!(
+                    baseline == ts,
+                    "{name} on {core_name} ({mem:?}): TS diverged from the baseline run"
+                );
+            }
+        }
+    }
 }
