@@ -20,7 +20,7 @@ use redsoc_workloads::Benchmark;
 use crate::journal::fnv1a_hex;
 use crate::json::Json;
 use crate::redsoc_for;
-use crate::supervisor::{stall_labels, CellSummary, JobError, JobStatus};
+use crate::supervisor::{stall_labels, CellSummary, JobError, JobStatus, MemSummary};
 
 /// Scheduler modes a sweep can cover, in sweep order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,19 +56,17 @@ impl Mode {
 }
 
 /// A scheduler variant: the ablation axes of the ReDSOC scheduler —
-/// Completion-Instant precision and recycle threshold (§V, §IV-C),
-/// width-predictor size (§II-B) and the PVT guard band (§V). Each set
-/// field overrides the mode's scheduler configuration; the default
-/// variant overrides nothing, so default-variant jobs keep the keys,
-/// digests and sweep rows of builds that predate the axis.
+/// Completion-Instant precision and recycle threshold (§V, §IV-C) and
+/// the PVT guard band (§V). Each set field overrides the mode's
+/// scheduler configuration; the default variant overrides nothing, so
+/// default-variant jobs keep the keys, digests and sweep rows of builds
+/// that predate the axis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Variant {
     /// Completion-Instant precision in bits.
     pub ci_bits: Option<u8>,
     /// Recycle threshold in CI ticks.
     pub threshold: Option<u64>,
-    /// Width-predictor entries.
-    pub width_entries: Option<usize>,
     /// Exploit the PVT guard band on top of data slack.
     pub pvt: bool,
 }
@@ -81,13 +79,12 @@ impl Variant {
     }
 
     /// Machine-readable label, `-`-separated overrides such as `ci4-t15`,
-    /// `wp1024` or `pvt`; empty for the default variant.
+    /// `t3` or `pvt`; empty for the default variant.
     #[must_use]
     pub fn label(&self) -> String {
         let parts = [
             self.ci_bits.map(|bits| format!("ci{bits}")),
             self.threshold.map(|t| format!("t{t}")),
-            self.width_entries.map(|n| format!("wp{n}")),
             self.pvt.then(|| "pvt".to_string()),
         ];
         parts.into_iter().flatten().collect::<Vec<_>>().join("-")
@@ -98,8 +95,6 @@ impl Variant {
     pub fn apply(&self, mut sched: SchedulerConfig) -> SchedulerConfig {
         sched.ci_bits = self.ci_bits.unwrap_or(sched.ci_bits);
         sched.threshold_ticks = self.threshold.unwrap_or(sched.threshold_ticks);
-        let entries = &mut sched.width_predictor_entries;
-        *entries = self.width_entries.unwrap_or(*entries);
         sched.pvt_guard_band |= self.pvt;
         sched
     }
@@ -372,15 +367,9 @@ pub fn sweep_json(grid: &Grid, trace_len: u64) -> Json {
                 });
             // Present only for contended-memory jobs; classic rows omit
             // the key entirely so their documents match pre-port output.
-            let memory = summary.and_then(CellSummary::memory).map(|m| {
-                Json::obj(vec![
-                    ("model", Json::str(&m.model)),
-                    ("mshr_rejects", Json::num(m.mshr_rejects as f64)),
-                    ("mshr_merges", Json::num(m.mshr_merges as f64)),
-                    ("port_wait_cycles", Json::num(m.port_wait_cycles as f64)),
-                    ("dram_wait_cycles", Json::num(m.dram_wait_cycles as f64)),
-                ])
-            });
+            let memory = summary
+                .and_then(CellSummary::memory)
+                .map(MemSummary::to_json);
             let error = c.failure.as_ref().map_or(Json::Null, |f| {
                 Json::obj(vec![
                     ("kind", Json::str(f.error.kind())),

@@ -101,16 +101,7 @@ impl JournalRecord {
                     ),
                 ));
                 if let Some(mem) = memory {
-                    pairs.push((
-                        "memory",
-                        Json::obj(vec![
-                            ("model", Json::str(&mem.model)),
-                            ("mshr_rejects", Json::num(mem.mshr_rejects as f64)),
-                            ("mshr_merges", Json::num(mem.mshr_merges as f64)),
-                            ("port_wait_cycles", Json::num(mem.port_wait_cycles as f64)),
-                            ("dram_wait_cycles", Json::num(mem.dram_wait_cycles as f64)),
-                        ]),
-                    ));
+                    pairs.push(("memory", mem.to_json()));
                 }
             }
             CellSummary::Ts {

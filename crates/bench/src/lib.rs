@@ -19,8 +19,9 @@
 //!   document with the per-cell counters the figures need, and the
 //!   renderers of every figure, table and ablation;
 //! - [`supervisor`] — the job supervisor: `catch_unwind` isolation, the
-//!   structured `JobError` taxonomy, bounded immediate retries,
-//!   quarantine, and the fault-injection plan used by the crash tests;
+//!   structured `JobError` taxonomy, bounded immediate retries of a
+//!   dead worker's job, quarantine, and the fault-injection plan used by
+//!   the crash tests;
 //! - [`journal`] — the append-only JSONL checkpoint behind
 //!   `redsoc bench --resume`: completed cells survive a mid-sweep crash
 //!   and are not re-run;

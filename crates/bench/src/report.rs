@@ -31,17 +31,14 @@ const OP_MIX: [OpCategory; 6] = [
     OpCategory::AluLowSlack,
     OpCategory::AluHighSlack,
 ];
-/// Width-predictor sizes of the §II-B ablation (the paper uses 4K).
-const WIDTH_ENTRIES: [usize; 4] = [256, 1024, 4096, 16384];
 
 /// An ablation's ReDSOC variant, or the default variant when it leaves
 /// the paper's operating point unchanged — so each ablation's default
 /// point reuses the Fig. 13 cell instead of simulating it twice.
-fn variant(ci_bits: Option<u8>, threshold: Option<u64>, width_entries: Option<usize>) -> Variant {
+fn variant(ci_bits: Option<u8>, threshold: Option<u64>) -> Variant {
     let v = Variant {
         ci_bits,
         threshold,
-        width_entries,
         pvt: false,
     };
     let redsoc = SchedulerConfig::redsoc();
@@ -54,17 +51,12 @@ fn variant(ci_bits: Option<u8>, threshold: Option<u64>, width_entries: Option<us
 
 /// §V precision ablation: `bits` of CI precision at threshold 2^bits − 1.
 fn precision(bits: u8) -> Variant {
-    variant(Some(bits), Some((1 << bits) - 1), None)
+    variant(Some(bits), Some((1 << bits) - 1))
 }
 
 /// §IV-C threshold ablation at the default precision.
 fn threshold(t: u64) -> Variant {
-    variant(None, Some(t), None)
-}
-
-/// §II-B width-predictor size ablation.
-fn width(entries: usize) -> Variant {
-    variant(None, None, Some(entries))
+    variant(None, Some(t))
 }
 
 /// §V PVT guard band on top of data slack.
@@ -81,7 +73,6 @@ fn ablation_variants() -> Vec<Variant> {
     (1..=8)
         .map(precision)
         .chain((0..=7).map(threshold))
-        .chain(WIDTH_ENTRIES.map(width))
         .chain([pvt()])
         .filter(|v| !v.is_default())
         .collect()
@@ -171,7 +162,7 @@ mod tests {
         let variants = ablation_variants();
         assert_eq!(
             variants.len(),
-            7 + 7 + 3 + 1,
+            7 + 7 + 1,
             "each ablation minus its default point"
         );
         assert_eq!(jobs.len(), 192 + 4 * 3 * 2 + variants.len() * 15);
@@ -181,7 +172,6 @@ mod tests {
         assert_eq!(keys.len(), jobs.len(), "no cell is simulated twice");
         assert_eq!(precision(3), Variant::default());
         assert_eq!(threshold(7), Variant::default());
-        assert_eq!(width(4096), Variant::default());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use redsoc_core::config::SchedulerConfig;
 use redsoc_core::stats::OpCategory;
 use redsoc_isa::opcode::ExecClass;
 use redsoc_timing::kogge_stone::{delay_series, prefix_stages};
@@ -13,7 +14,7 @@ use redsoc_timing::slack::{SlackBucket, SlackLut};
 use redsoc_timing::width_predictor::WidthPredictor;
 use redsoc_workloads::{BenchClass, Benchmark};
 
-use super::{precision, pvt, threshold, width, OP_MIX, WIDTH_ENTRIES};
+use super::{precision, pvt, threshold, OP_MIX};
 use crate::grid::{Mode, Variant};
 use crate::json::Json;
 use crate::{cores, mean};
@@ -436,31 +437,33 @@ fn threshold_section(r: &Results) -> String {
     )
 }
 
+/// §II-B at the paper's table size. Size cannot matter here: no two
+/// word-PCs of a paper benchmark share a slot of even a 256-entry table
+/// (`tests/paper_claims.rs`), so every larger table predicts the same.
 fn width_section(r: &Results) -> String {
-    let key = |b, n| (b, "BIG", Mode::Redsoc, width(n));
-    let aggressive = |b, n| r.pct(key(b, n), "width_aggressive", "width_predictions");
-    let rows = bench_rows(&WIDTH_ENTRIES, (3, "%"), false, aggressive);
-    let title = "Width predictor size on BIG (ReDSOC): aggressive mispredictions (%)";
-    let per_benchmark = table(title, &["benchmark", "256", "1024", "4096", "16384"], &rows);
+    const OUTCOMES: [&str; 2] = ["width_aggressive", "width_conservative"];
+    let key = |b| (b, "BIG", Mode::Redsoc, Variant::default());
+    let rate = |b, name| r.pct(key(b), name, "width_predictions");
+    let rows = bench_rows(&OUTCOMES, (3, "%"), false, rate);
+    let entries = SchedulerConfig::redsoc().width_predictor_entries;
+    let title = format!("Width predictor on BIG (ReDSOC, {entries} entries): mispredictions (%)");
+    let per_benchmark = table(&title, &["benchmark", "aggressive", "conservative"], &rows);
 
     let paper = Benchmark::paper_set();
-    let total = |n, name| -> Option<f64> {
+    let total = |name| -> Option<f64> {
         paper
             .iter()
-            .map(|b| r.num(key(*b, n), &["counters", name]))
+            .map(|b| r.num(key(*b), &["counters", name]))
             .sum()
     };
-    let share = |n, name| Some(total(n, name)? / total(n, "width_predictions")? * 100.0);
-    let mut pooled = Vec::new();
-    for n in WIDTH_ENTRIES {
-        let gains: Option<Vec<f64>> = paper.iter().map(|b| big_gain(r, *b, width(n))).collect();
-        let state = WidthPredictor::new(n, 3).state_bytes().to_string();
-        let rates = ["width_aggressive", "width_conservative"].map(|c| fmt(share(n, c), 3, "%"));
-        let cells = rates
-            .into_iter()
-            .chain([state, fmt(gains.map(|g| mean(&g)), 2, "%")]);
-        pooled.push(row(n.to_string(), cells));
-    }
+    let share = |name| Some(total(name)? / total("width_predictions")? * 100.0);
+    let gains: Option<Vec<f64>> = paper.iter().map(|b| gain(r, *b, "BIG")).collect();
+    let state = WidthPredictor::new(entries, 3).state_bytes().to_string();
+    let cells = OUTCOMES
+        .map(|name| fmt(share(name), 3, "%"))
+        .into_iter()
+        .chain([state, fmt(gains.map(|g| mean(&g)), 2, "%")]);
+    let pooled = [row(entries.to_string(), cells)];
     let header = [
         "entries",
         "aggressive",

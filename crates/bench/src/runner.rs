@@ -10,8 +10,8 @@
 //!
 //! Every job runs under the [`supervisor`](crate::supervisor): the body
 //! executes inside `catch_unwind`, failures are classified into the
-//! structured [`JobError`] taxonomy, transient failures retry at once up
-//! to a bound, a cooperative cycle-budget watchdog ([`CancelToken`])
+//! structured [`JobError`] taxonomy, a dead worker's job retries at once
+//! up to a bound, a cooperative cycle-budget watchdog ([`CancelToken`])
 //! bounds runaway jobs, and a failing job degrades to one
 //! `failed`/`timeout`/`quarantined` **cell** of the grid instead of
 //! aborting the sweep. Completed cells are checkpointed to an
@@ -199,14 +199,11 @@ pub(crate) fn attempt_with_faults(
     cache: &TraceCache,
     job: &Job,
     sup: &SupervisorConfig,
-    attempt: u32,
 ) -> Result<(Box<SimReport>, CellSummary), (JobError, Vec<String>)> {
     let key = job.key();
     let fault = sup.faults.get(&key);
     match fault {
-        Some(Fault::Panic { times }) if attempt <= times => {
-            panic!("injected panic for {key} (attempt {attempt})")
-        }
+        Some(Fault::Panic) => panic!("injected panic for {key}"),
         Some(Fault::Fail) => {
             return Err((
                 JobError::Sim(SimError::BadConfig(format!("injected failure for {key}"))),
@@ -282,7 +279,7 @@ fn job_spec(
         attempt,
         budget: sup.job_timeout_cycles,
         ts_base: None,
-        fault: sup.faults.get(&job.key()).map(Fault::spec),
+        fault: sup.faults.get(&job.key()).map(|f| f.spec().to_string()),
     }
 }
 
@@ -317,7 +314,7 @@ fn exec_cell(
     let last_events: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let supervised = supervise(sup, |attempt| {
         let outcome = match isolation {
-            Isolation::Thread => attempt_with_faults(cache, job, sup, attempt)
+            Isolation::Thread => attempt_with_faults(cache, job, sup)
                 .map(|(report, summary)| (Some(report), summary)),
             Isolation::Process(cfg) => {
                 if !job.variant.is_default() {
@@ -607,8 +604,7 @@ mod tests {
     fn injected_panic_quarantines_one_cell_and_spares_the_rest() {
         let cache = TraceCache::new(2_000);
         let sup = SupervisorConfig {
-            max_retries: 1,
-            faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic { times: 99 }),
+            faults: FaultPlan::none().with("bitcnt/BIG/redsoc", Fault::Panic),
             ..SupervisorConfig::default()
         };
         let grid = run_grid_isolated(
@@ -623,7 +619,7 @@ mod tests {
         );
         let bad = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Redsoc).unwrap();
         assert_eq!(bad.status, JobStatus::Quarantined);
-        assert_eq!(bad.attempts, 2, "one try + one retry");
+        assert_eq!(bad.attempts, 1, "a panic is deterministic: no retry");
         assert!(bad.failure.as_ref().unwrap().error.kind() == "panicked");
         let good = grid.cell(Benchmark::Bitcnt, "BIG", Mode::Baseline).unwrap();
         assert!(good.is_ok(), "sibling cell must survive");

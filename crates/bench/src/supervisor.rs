@@ -2,27 +2,29 @@
 //!
 //! A sweep cell runs under a **supervisor** ([`supervise`]): the job body
 //! executes inside `catch_unwind`, every failure is classified into a
-//! structured [`JobError`], transient failures (panics, poisoned state,
-//! worker deaths) are retried at once, up to a bound, and jobs that keep
-//! failing are **quarantined** rather than allowed to abort the sweep.
-//! Retries do not sleep: no retried failure recovers with time, and a
-//! dead worker is replaced before the next attempt anyway.
-//! Deterministic failures — simulator errors and cycle-budget timeouts —
-//! fail fast: retrying a deterministic simulator reproduces the failure
-//! bit for bit, so the supervisor does not waste wall-clock on it.
+//! structured [`JobError`], and a failed job degrades to one cell rather
+//! than aborting the sweep. Only the death of a process-isolation worker
+//! is transient: it is retried at once, up to a bound, and a job whose
+//! workers keep dying is **quarantined**. Retries do not sleep: a dead
+//! worker is replaced before the next attempt anyway. Everything that
+//! happens inside the simulator — an error, a cycle-budget timeout, a
+//! panic — fails fast: the simulator is deterministic, so a retry
+//! reproduces the failure bit for bit.
 //!
 //! The module also hosts the **fault-injection plan** ([`FaultPlan`])
 //! used by the crash-safety test harness and the CI resume smoke: faults
-//! are keyed by job (`bench/CORE/mode`) and can make a cell panic for its
-//! first N attempts, hang until the watchdog fires, or fail with a
-//! simulator error. Production sweeps run with an empty plan; the
-//! injection points cost one hash lookup per job attempt.
+//! are keyed by job (`bench/CORE/mode`) and can make a cell panic, hang
+//! until the watchdog fires, fail with a simulator error, or kill its
+//! worker. Production sweeps run with an empty plan; the injection
+//! points cost one hash lookup per job attempt.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use redsoc_core::pipeline::SimError;
 use redsoc_core::stats::StallCause;
+
+use crate::json::Json;
 
 /// Why a job failed: the structured taxonomy every failure is mapped to
 /// (no panic escapes a supervised cell).
@@ -40,8 +42,6 @@ pub enum JobError {
         /// The cycle budget the job exceeded.
         budget: u64,
     },
-    /// Shared state (a lock) was poisoned by another worker's panic.
-    Poisoned,
     /// A process-isolation worker died from a signal mid-job (crash,
     /// abort, external kill).
     Killed {
@@ -73,7 +73,6 @@ impl JobError {
             JobError::Sim(_) => "sim",
             JobError::Panicked { .. } => "panicked",
             JobError::Timeout { .. } => "timeout",
-            JobError::Poisoned => "poisoned",
             JobError::Killed { .. } => "killed",
             JobError::OomKilled => "oom-killed",
             JobError::HeartbeatLost { .. } => "heartbeat-lost",
@@ -81,17 +80,16 @@ impl JobError {
         }
     }
 
-    /// Whether retrying could plausibly succeed. Panics, poisoning, and
-    /// every worker-death mode can be environmental (another worker's
-    /// crash, an external kill, a bug tripped by timing); simulator
-    /// errors and cycle budgets are deterministic.
+    /// Whether retrying could plausibly succeed: only for a worker
+    /// death, which can be environmental (an external kill, a crash of
+    /// the worker process around the job). Simulator errors, cycle
+    /// budgets and panics come from the deterministic simulator, so a
+    /// retry would fail the same way.
     #[must_use]
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            JobError::Panicked { .. }
-                | JobError::Poisoned
-                | JobError::Killed { .. }
+            JobError::Killed { .. }
                 | JobError::OomKilled
                 | JobError::HeartbeatLost { .. }
                 | JobError::ProtocolError { .. }
@@ -105,7 +103,6 @@ impl JobError {
         match self {
             JobError::Timeout { .. } => JobStatus::Timeout,
             JobError::Panicked { .. }
-            | JobError::Poisoned
             | JobError::Killed { .. }
             | JobError::OomKilled
             | JobError::HeartbeatLost { .. }
@@ -123,7 +120,6 @@ impl core::fmt::Display for JobError {
             JobError::Timeout { budget } => {
                 write!(f, "exceeded cycle budget of {budget} cycles")
             }
-            JobError::Poisoned => write!(f, "shared state poisoned by another worker's panic"),
             JobError::Killed { signal } => {
                 write!(f, "worker killed by signal {signal}")
             }
@@ -152,7 +148,7 @@ pub enum JobStatus {
     Failed,
     /// Cancelled by the cycle-budget watchdog.
     Timeout,
-    /// Kept failing transiently; isolated after exhausting retries.
+    /// Panicked, or its worker kept dying until the retries ran out.
     Quarantined,
 }
 
@@ -186,6 +182,20 @@ pub struct MemSummary {
     pub port_wait_cycles: u64,
     /// Total cycles requests waited in the DRAM queue.
     pub dram_wait_cycles: u64,
+}
+
+impl MemSummary {
+    /// The `memory` object of a journal line or sweep row.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("model", Json::str(&self.model)),
+            ("mshr_rejects", Json::num(self.mshr_rejects as f64)),
+            ("mshr_merges", Json::num(self.mshr_merges as f64)),
+            ("port_wait_cycles", Json::num(self.port_wait_cycles as f64)),
+            ("dram_wait_cycles", Json::num(self.dram_wait_cycles as f64)),
+        ])
+    }
 }
 
 /// The numbers a sweep row needs from a completed job — small enough to
@@ -264,12 +274,8 @@ pub fn stall_labels() -> [&'static str; 10] {
 /// An injected fault for one job key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic on attempts `1..=times`, succeed afterwards. `times` beyond
-    /// the retry limit makes the job quarantine.
-    Panic {
-        /// Number of leading attempts that panic.
-        times: u32,
-    },
+    /// Panic inside the attempt: the job quarantines after one attempt.
+    Panic,
     /// Replace the job with an endless instruction stream: the job never
     /// finishes on its own and must be stopped by the cycle-budget
     /// watchdog (or by killing the process — the crash-safety test).
@@ -298,14 +304,14 @@ impl Fault {
     /// [`Fault::parse_kind`]); also the wire form forwarded to isolation
     /// workers in job frames.
     #[must_use]
-    pub fn spec(self) -> String {
+    pub fn spec(self) -> &'static str {
         match self {
-            Fault::Panic { times } => format!("panic:{times}"),
-            Fault::Hang => "hang".to_string(),
-            Fault::Fail => "fail".to_string(),
-            Fault::Abort => "abort".to_string(),
-            Fault::Oom => "oom".to_string(),
-            Fault::Freeze => "freeze".to_string(),
+            Fault::Panic => "panic",
+            Fault::Hang => "hang",
+            Fault::Fail => "fail",
+            Fault::Abort => "abort",
+            Fault::Oom => "oom",
+            Fault::Freeze => "freeze",
         }
     }
 
@@ -322,17 +328,10 @@ impl Fault {
             "abort" => Ok(Fault::Abort),
             "oom" => Ok(Fault::Oom),
             "freeze" => Ok(Fault::Freeze),
-            "panic" => Ok(Fault::Panic { times: 1 }),
-            other => match other.strip_prefix("panic:") {
-                Some(n) => Ok(Fault::Panic {
-                    times: n
-                        .parse()
-                        .map_err(|e| format!("bad panic count in {kind:?}: {e}"))?,
-                }),
-                None => Err(format!(
-                    "unknown fault kind {other:?} (panic|panic:N|hang|fail|abort|oom|freeze)"
-                )),
-            },
+            "panic" => Ok(Fault::Panic),
+            other => Err(format!(
+                "unknown fault kind {other:?} (panic|hang|fail|abort|oom|freeze)"
+            )),
         }
     }
 }
@@ -371,8 +370,7 @@ impl FaultPlan {
 
     /// Parse a plan from the `REDSOC_FAULT` syntax:
     /// comma-separated `bench/CORE/mode=kind` entries where `kind` is
-    /// `panic` (panic once), `panic:N` (panic on the first N attempts),
-    /// `hang`, `fail`, `abort`, `oom`, or `freeze`.
+    /// `panic`, `hang`, `fail`, `abort`, `oom`, or `freeze`.
     ///
     /// # Errors
     ///
@@ -407,7 +405,7 @@ impl FaultPlan {
 /// Supervisor policy for one sweep.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Retries granted after a transient failure (so a job runs at most
+    /// Retries granted after a worker death (so a job runs at most
     /// `1 + max_retries` times).
     pub max_retries: u32,
     /// Cycle budget per job attempt; `None` disables the watchdog.
@@ -440,8 +438,8 @@ pub struct Supervised<R> {
 /// transient failures retried at once up to `cfg.max_retries` times,
 /// deterministic failures returned immediately.
 ///
-/// `attempt_fn` receives the 1-based attempt number (fault injection uses
-/// it to panic only on early attempts).
+/// `attempt_fn` receives the 1-based attempt number (a worker's job frame
+/// carries it).
 pub fn supervise<R>(
     cfg: &SupervisorConfig,
     mut attempt_fn: impl FnMut(u32) -> Result<R, JobError>,
@@ -486,27 +484,30 @@ mod tests {
     }
 
     #[test]
-    fn transient_panic_is_retried_then_succeeds() {
+    fn worker_death_is_retried_then_succeeds() {
         let s = supervise(&SupervisorConfig::default(), |attempt| {
             assert!(attempt <= 3);
             if attempt <= 2 {
-                panic!("injected fault (attempt {attempt})");
+                return Err(JobError::Killed { signal: 9 });
             }
             Ok::<_, JobError>("recovered")
         });
-        assert_eq!(s.attempts, 3);
+        assert_eq!(s.attempts, 3, "1 try + 2 retries");
         assert_eq!(s.result.unwrap(), "recovered");
     }
 
     #[test]
-    fn persistent_panic_exhausts_retries_and_quarantines() {
-        let s = supervise(
-            &SupervisorConfig::default(),
-            |attempt| -> Result<(), JobError> {
-                panic!("always broken (attempt {attempt})");
-            },
+    fn panic_runs_once_and_quarantines() {
+        let mut calls = 0;
+        let s = supervise(&SupervisorConfig::default(), |_| -> Result<(), JobError> {
+            calls += 1;
+            panic!("always broken");
+        });
+        assert_eq!(
+            (s.attempts, calls),
+            (1, 1),
+            "a deterministic panic: no retry"
         );
-        assert_eq!(s.attempts, 3, "1 try + 2 retries");
         let err = s.result.unwrap_err();
         assert!(matches!(&err, JobError::Panicked { payload } if payload.contains("always")));
         assert_eq!(err.terminal_status(), JobStatus::Quarantined);
@@ -527,17 +528,18 @@ mod tests {
     #[test]
     fn fault_plan_parses_the_env_syntax() {
         let plan =
-            FaultPlan::parse("crc/BIG/redsoc=hang, bitcnt/SMALL/baseline=panic:2,conv/BIG/ts=fail")
+            FaultPlan::parse("crc/BIG/redsoc=hang, bitcnt/SMALL/baseline=panic,conv/BIG/ts=fail")
                 .expect("valid spec");
         assert_eq!(plan.get("crc/BIG/redsoc"), Some(Fault::Hang));
-        assert_eq!(
-            plan.get("bitcnt/SMALL/baseline"),
-            Some(Fault::Panic { times: 2 })
-        );
+        assert_eq!(plan.get("bitcnt/SMALL/baseline"), Some(Fault::Panic));
         assert_eq!(plan.get("conv/BIG/ts"), Some(Fault::Fail));
         assert_eq!(plan.get("missing/BIG/mos"), None);
         assert!(FaultPlan::parse("nonsense").is_err());
         assert!(FaultPlan::parse("a/b/c=explode").is_err());
+        assert!(
+            FaultPlan::parse("a/b/c=panic:2").is_err(),
+            "a panic is not retried, so it takes no count"
+        );
         assert!(FaultPlan::parse("").expect("empty ok").is_empty());
     }
 
@@ -548,14 +550,11 @@ mod tests {
             JobError::Sim(SimError::BadConfig("x".into())).terminal_status(),
             JobStatus::Failed
         );
-        assert_eq!(
-            JobError::Panicked {
-                payload: "p".into()
-            }
-            .terminal_status(),
-            JobStatus::Quarantined
-        );
-        assert_eq!(JobError::Poisoned.terminal_status(), JobStatus::Quarantined);
+        let panicked = JobError::Panicked {
+            payload: "p".into(),
+        };
+        assert!(!panicked.is_transient());
+        assert_eq!(panicked.terminal_status(), JobStatus::Quarantined);
     }
 
     #[test]
@@ -586,14 +585,14 @@ mod tests {
     #[test]
     fn fault_specs_round_trip_and_parse() {
         for fault in [
-            Fault::Panic { times: 3 },
+            Fault::Panic,
             Fault::Hang,
             Fault::Fail,
             Fault::Abort,
             Fault::Oom,
             Fault::Freeze,
         ] {
-            assert_eq!(Fault::parse_kind(&fault.spec()), Ok(fault));
+            assert_eq!(Fault::parse_kind(fault.spec()), Ok(fault));
         }
         let plan = FaultPlan::parse("a/B/c=abort,d/E/f=oom,g/H/i=freeze").expect("valid");
         assert_eq!(plan.get("a/B/c"), Some(Fault::Abort));

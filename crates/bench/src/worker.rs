@@ -145,7 +145,8 @@ pub struct JobSpec {
     /// verifies it, so a parent/worker configuration skew fails loudly
     /// instead of producing silently wrong numbers.
     pub digest: String,
-    /// 1-based attempt number (fault injection keys off it).
+    /// 1-based attempt number (the worker's diagnostics and journal
+    /// record echo it).
     pub attempt: u32,
     /// Cooperative cycle budget, when the sweep runs with one.
     pub budget: Option<u64>,
@@ -260,7 +261,6 @@ pub fn job_error_to_json(err: &JobError) -> Json {
             ("kind", Json::str("timeout")),
             ("budget", Json::num(*budget as f64)),
         ]),
-        JobError::Poisoned => Json::obj(kinded("poisoned")),
         JobError::Killed { signal } => Json::obj(vec![
             ("kind", Json::str("killed")),
             ("signal", Json::num(f64::from(*signal))),
@@ -323,7 +323,6 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
         "timeout" => Ok(JobError::Timeout {
             budget: num_field("budget")? as u64,
         }),
-        "poisoned" => Ok(JobError::Poisoned),
         "killed" => Ok(JobError::Killed {
             signal: num_field("signal")? as i32,
         }),
@@ -525,9 +524,7 @@ fn run_job(spec: &JobSpec, cache: &TraceCache, shared: &Arc<WorkerShared>) -> Js
     }
     shared.active.store(true, Ordering::Relaxed);
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        attempt_with_faults(cache, &job, &sup, spec.attempt)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| attempt_with_faults(cache, &job, &sup)));
     shared.active.store(false, Ordering::Relaxed);
 
     match outcome {
@@ -742,7 +739,7 @@ mod tests {
             attempt: 2,
             budget: Some(1_000_000),
             ts_base: None,
-            fault: Some("panic:2".into()),
+            fault: Some("panic".into()),
         };
         assert_eq!(JobSpec::from_json(&full.to_json()).unwrap(), full);
         let with_base = JobSpec {
@@ -778,7 +775,6 @@ mod tests {
                 payload: "boom".into(),
             },
             JobError::Timeout { budget: 5000 },
-            JobError::Poisoned,
             JobError::Killed { signal: 9 },
             JobError::OomKilled,
             JobError::HeartbeatLost { timeout_ms: 750 },

@@ -41,20 +41,14 @@ pub struct RedsocScheduler {
 
 impl RedsocScheduler {
     /// Capture the ReDSOC policy knobs from a scheduler configuration.
-    ///
-    /// Setting the `REDSOC_TEST_INVERT_SKEW=1` environment variable plants
-    /// the [`Self::with_inverted_skew`] fault here, so the differential
-    /// fuzzing harness can demonstrate end-to-end bug detection against
-    /// the released binary without a special build.
     #[must_use]
     pub fn from_config(config: &SchedulerConfig) -> Self {
-        let invert = std::env::var_os("REDSOC_TEST_INVERT_SKEW").is_some_and(|v| v == "1");
         RedsocScheduler {
             egpw: config.egpw,
             skewed: config.skewed_select,
             threshold_ticks: config.threshold_ticks,
             width_replay_penalty: config.width_replay_penalty,
-            invert_select: invert,
+            invert_select: false,
         }
     }
 
@@ -64,7 +58,9 @@ impl RedsocScheduler {
     /// exists to prevent. The scheduler also stops advertising
     /// [`Scheduler::skewed_select`], since the guarantee no longer holds;
     /// GP-mispeculation recovery becomes reachable and the verification
-    /// oracle must flag the run. Not part of the public API.
+    /// oracle must flag the run. The oracle's `sabotage_redsoc`
+    /// (`redsoc fuzz --sabotage invert-skew`) plants it. Not part of the
+    /// public API.
     #[doc(hidden)]
     #[must_use]
     pub fn with_inverted_skew(mut self) -> Self {

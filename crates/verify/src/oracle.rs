@@ -6,13 +6,11 @@
 //!
 //! - the **committed instruction stream** (`Commit` events: sequence
 //!   number and PC, in retirement order) of every pipeline run must equal
-//!   the interpreter's dynamic trace exactly;
-//! - the **final architectural state** (all 65 registers plus memory) is
-//!   recomputed by replaying exactly the committed instruction count
-//!   through a fresh interpreter and must equal the reference state
-//!   exactly (a mismatch is reported by digest). The first check pins
-//!   every run's committed count to the trace length, so the replay runs
-//!   once per case;
+//!   the interpreter's dynamic trace exactly. The pipeline is
+//!   trace-driven: it commits the interpreter's ops and computes no
+//!   values of its own, so once its commit stream equals the trace, its
+//!   final architectural state is the interpreter's. No separate state
+//!   comparison is made;
 //! - per-run **timing invariants** must hold: non-zero cycle count, the
 //!   stall-attribution partition summing to the cycle count, in-order
 //!   commit, skewed-select ordering (no grandparent-speculative grant
@@ -170,16 +168,6 @@ pub enum Divergence {
         /// Observed `(seq, pc)` from the pipeline, if any.
         got: Option<(u64, u32)>,
     },
-    /// Final architectural state differs from the reference; the report
-    /// carries both states' digests.
-    StateMismatch {
-        /// The diverging policy.
-        sched: SchedKind,
-        /// Reference digest from the primary interpreter run.
-        expected: u64,
-        /// Digest after replaying the run's committed instruction count.
-        got: u64,
-    },
     /// A timing invariant failed.
     TimingViolation {
         /// The offending policy.
@@ -197,7 +185,6 @@ impl Divergence {
             Divergence::ExecFault { .. } => None,
             Divergence::SimFailed { sched, .. }
             | Divergence::CommitMismatch { sched, .. }
-            | Divergence::StateMismatch { sched, .. }
             | Divergence::TimingViolation { sched, .. } => Some(*sched),
         }
     }
@@ -230,14 +217,6 @@ impl fmt::Display for Divergence {
                 f,
                 "[{sched}] commit stream diverges at #{index}: expected {expected:?}, got {got:?}"
             ),
-            Divergence::StateMismatch {
-                sched,
-                expected,
-                got,
-            } => write!(
-                f,
-                "[{sched}] architectural state digest {got:#018x} != reference {expected:#018x}"
-            ),
             Divergence::TimingViolation { sched, detail } => {
                 write!(f, "[{sched}] timing invariant violated: {detail}")
             }
@@ -252,34 +231,6 @@ pub struct CaseOk {
     pub dyn_ops: u64,
     /// `(policy, cycles)` for each pipeline run.
     pub cycles: Vec<(SchedKind, u64)>,
-}
-
-/// Whether two interpreters hold the same architectural state: all
-/// registers, then memory.
-fn same_state(a: &Interpreter, b: &Interpreter, mem_size: u32) -> bool {
-    (0..NUM_ARCH_REGS).all(|i| {
-        let reg = ArchReg::from_index(i).expect("index below NUM_ARCH_REGS");
-        a.reg(reg) == b.reg(reg)
-    }) && a.mem(0, mem_size) == b.mem(0, mem_size)
-}
-
-/// FNV-1a digest of the full architectural state: all registers in index
-/// order, then memory. Only a [`Divergence::StateMismatch`] report needs
-/// it; the check itself is [`same_state`].
-fn state_digest(interp: &Interpreter, mem_size: u32) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for i in 0..NUM_ARCH_REGS {
-        let reg = ArchReg::from_index(i).expect("index below NUM_ARCH_REGS");
-        eat(&interp.reg(reg).to_le_bytes());
-    }
-    eat(interp.mem(0, mem_size));
-    h
 }
 
 /// What the checks read of one pipeline run, recorded as its events
@@ -460,8 +411,7 @@ fn check_ci_monotone(kind: SchedKind, trace: &[DynOp], view: &RunView) -> Result
 /// Returns the first [`Divergence`] found.
 pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Divergence> {
     // Reference execution: the functional interpreter.
-    let mut interp = Interpreter::new(program);
-    let trace = interp
+    let trace = Interpreter::new(program)
         .run(cfg.max_dyn_ops)
         .map_err(|e| Divergence::ExecFault {
             error: e.to_string(),
@@ -469,7 +419,6 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
     let trace: Vec<DynOp> = trace.into_iter().collect();
 
     let mut cycles = Vec::new();
-    let mut state_checked = false;
     // Cycles of the run that baseline and TS share (see `SchedKind::Ts`).
     let mut shared_cycles = None;
     for &kind in &cfg.scheds {
@@ -482,6 +431,9 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
         let (rep, view) = run_one(kind, &trace, cfg)?;
 
         // 1. Committed stream == architectural trace, element for element.
+        // This also settles the final architectural state: the pipeline
+        // commits the trace's own ops, so a run that commits exactly the
+        // trace ends in the interpreter's state.
         let n = trace.len().max(view.commits.len());
         for i in 0..n {
             let expected = trace.get(i).map(|op| (op.seq, op.pc));
@@ -496,28 +448,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
             }
         }
 
-        // 2. Final architectural state: replay exactly the committed
-        // count through a fresh interpreter and compare state. Check 1
-        // pinned that count to `trace.len()`, so every run replays the
-        // same prefix to the same verdict: the first run computes it.
-        if !state_checked {
-            let mut replay = Interpreter::new(program);
-            replay
-                .run(view.commits.len() as u64)
-                .map_err(|e| Divergence::ExecFault {
-                    error: format!("replay fault: {e}"),
-                })?;
-            if !same_state(&interp, &replay, program.mem_size()) {
-                return Err(Divergence::StateMismatch {
-                    sched: kind,
-                    expected: state_digest(&interp, program.mem_size()),
-                    got: state_digest(&replay, program.mem_size()),
-                });
-            }
-            state_checked = true;
-        }
-
-        // 3. Timing invariants.
+        // 2. Timing invariants.
         if rep.cycles == 0 {
             return Err(Divergence::TimingViolation {
                 sched: kind,
@@ -685,40 +616,6 @@ mod tests {
             }
             other => panic!("expected a timing violation, got {other}"),
         }
-    }
-
-    /// Run `program` for `steps` instructions.
-    fn stepped(program: &Program, steps: u64) -> Interpreter<'_> {
-        let mut interp = Interpreter::new(program);
-        interp.run(steps).expect("no fault");
-        interp
-    }
-
-    #[test]
-    fn state_comparison_is_exact() {
-        let p = redsoc_isa::asm::assemble(
-            ".mem 65536\n.zero buf 4\nmov r0, #7\nmov r1, =buf\nstr r0, [r1]\nhalt",
-        )
-        .expect("assembles");
-        let size = p.mem_size();
-        assert!(
-            same_state(&stepped(&p, 4), &stepped(&p, 4), size),
-            "one program stepped to the same count"
-        );
-
-        // Register only: the last of the 65 registers differs.
-        let mut other = stepped(&p, 4);
-        let last = ArchReg::from_index(NUM_ARCH_REGS - 1).expect("last register");
-        other.set_reg(last, other.reg(last) ^ 1);
-        assert!(!same_state(&stepped(&p, 4), &other, size));
-
-        // Memory only: stepping over the store writes no register.
-        let (before, after) = (stepped(&p, 2), stepped(&p, 3));
-        assert!((0..NUM_ARCH_REGS).all(|i| {
-            let reg = ArchReg::from_index(i).expect("register index");
-            before.reg(reg) == after.reg(reg)
-        }));
-        assert!(!same_state(&before, &after, size));
     }
 
     #[test]

@@ -496,11 +496,11 @@ fn cmd_bench(args: &[String]) -> CliResult {
         }
         sup.job_timeout_cycles = Some(cycles);
     }
-    sup.max_retries = flags.num("max-retries", sup.max_retries)?;
 
     let isolation = match flags.get("isolation").unwrap_or("thread") {
         "thread" => {
-            for f in ["mem-limit-mb", "heartbeat-timeout-ms"] {
+            // Retries cover worker deaths only, and threads have none.
+            for f in ["max-retries", "mem-limit-mb", "heartbeat-timeout-ms"] {
                 if flags.get(f).is_some() {
                     return Err(usage_err(format!("--{f} requires --isolation process")));
                 }
@@ -511,6 +511,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
             let exe = std::env::current_exe()
                 .map_err(|e| CliError::Io(format!("cannot locate own binary: {e}")))?;
             let mut cfg = WorkerPoolConfig::new(exe);
+            sup.max_retries = flags.num("max-retries", sup.max_retries)?;
             if flags.get("mem-limit-mb").is_some() {
                 let mb: u64 = flags.num("mem-limit-mb", 0u64)?;
                 if mb == 0 {
@@ -966,10 +967,10 @@ fn usage() -> String {
      \x20                          --journal FILE   checkpoint cells as they finish\n\
      \x20                          --resume FILE    reopen a journal, skip done cells\n\
      \x20                          --job-timeout N  per-job cycle budget\n\
-     \x20                          --max-retries N  retries for transient failures\n\
      \x20                          --isolation thread|process  run each cell in-thread\n\
      \x20                          (default) or in supervised worker child processes;\n\
-     \x20                          with process: --mem-limit-mb N  per-worker RLIMIT_AS,\n\
+     \x20                          with process: --max-retries N  retries after a worker\n\
+     \x20                          death, --mem-limit-mb N  per-worker RLIMIT_AS,\n\
      \x20                          --heartbeat-timeout-ms N  kill frozen workers)\n\
      \x20 worker [flags]           internal: one pool worker child (spawned by\n\
      \x20                          bench --isolation process; speaks frames on stdio)\n\

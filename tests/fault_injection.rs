@@ -2,18 +2,21 @@
 //!
 //! Drives the real `redsoc` binary the way an operator (or CI) would:
 //!
-//! 1. a **clean** reference sweep;
-//! 2. the same sweep with an injected **hang** (stopped by the cycle
-//!    budget) and an injected persistent **panic** (quarantined after
-//!    retries) — the sweep must complete with exactly those two cells
-//!    degraded and every other cell byte-identical to the clean run;
+//! 1. the **clean** reference is the committed len-2000 sweep,
+//!    `BENCH_sweep.json`, which CI's perf gate also checks a fresh sweep
+//!    against;
+//! 2. a sweep with an injected **hang** (stopped by the cycle budget)
+//!    and an injected **panic** (quarantined after one attempt) must
+//!    complete with exactly those two cells degraded and every other
+//!    cell byte-identical to the clean reference;
 //! 3. the same faulted sweep **killed mid-run** three times — after five
 //!    journal checkpoints, then seven and three more on resume — then
 //!    **resumed** to completion: the final document must be
 //!    byte-identical (modulo wall-clock) to the uninterrupted faulted
 //!    run, restoring exactly the fifteen journaled cells;
-//! 4. process isolation: destructive faults, a frozen worker and a worker
-//!    that crashes once each cost at most their own cell;
+//! 4. process isolation: destructive faults, a panic, a frozen worker and
+//!    a worker that crashes once each cost at most their own cell, and
+//!    only a worker death is retried;
 //! 5. the CLI's structured exit codes and usage rejection paths.
 //!
 //! Everything runs at a tiny trace length so the whole suite stays in
@@ -32,7 +35,7 @@ const THREADS: &str = "2";
 const BUDGET: &str = "1000000";
 const HANG_KEY: &str = "crc/BIG/redsoc";
 const PANIC_KEY: &str = "bitcnt/SMALL/redsoc";
-const FAULTS: &str = "crc/BIG/redsoc=hang,bitcnt/SMALL/redsoc=panic:9";
+const FAULTS: &str = "crc/BIG/redsoc=hang,bitcnt/SMALL/redsoc=panic";
 
 fn redsoc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_redsoc"))
@@ -45,20 +48,16 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn bench_args(out: &Path) -> Vec<String> {
-    [
-        "bench",
-        "--threads",
-        THREADS,
-        "--len",
-        LEN,
-        "--max-retries",
-        "1",
-        "--out",
-    ]
-    .iter()
-    .map(ToString::to_string)
-    .chain([out.display().to_string()])
-    .collect()
+    ["bench", "--threads", THREADS, "--len", LEN, "--out"]
+        .iter()
+        .map(ToString::to_string)
+        .chain([out.display().to_string()])
+        .collect()
+}
+
+/// The committed clean sweep at `LEN`: every clean run must reproduce it.
+fn committed_sweep() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_sweep.json")
 }
 
 fn run(cmd: &mut Command) -> Output {
@@ -102,20 +101,18 @@ fn status_of<'a>(doc: &'a Json, key: &str) -> &'a Json {
 #[test]
 fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
     let dir = tmp_dir("e2e");
-    let clean = dir.join("clean.json");
+    let clean = committed_sweep();
     let faulted = dir.join("faulted.json");
     let dead = dir.join("dead.json");
     let resumed = dir.join("resumed.json");
     let journal = dir.join("sweep.jnl");
 
-    // 1. Clean reference run: exits 0, all cells ok.
-    let out = run(redsoc().args(bench_args(&clean)));
-    assert_eq!(exit_code(&out), 0, "clean sweep must succeed: {out:?}");
+    // 1. Clean reference: the committed sweep at the same length.
     let clean_doc = load_sweep(&clean);
 
     // 2. Faulted but uninterrupted: one hang (timeout under the cycle
-    // budget) and one persistent panic (quarantined after retries). The
-    // sweep must complete and exit 4 (partial), not crash.
+    // budget) and one panic (quarantined without a retry). The sweep
+    // must complete and exit 4 (partial), not crash.
     let out = run(redsoc()
         .args(bench_args(&faulted))
         .args(["--job-timeout", BUDGET])
@@ -147,8 +144,8 @@ fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
     );
     assert_eq!(
         panicked.get("attempts").and_then(Json::as_num),
-        Some(2.0),
-        "one try + one retry (--max-retries 1)"
+        Some(1.0),
+        "a deterministic panic is not retried"
     );
     assert_eq!(
         panicked
@@ -158,7 +155,7 @@ fn injected_faults_degrade_cells_and_resume_is_byte_identical() {
         Some("panicked")
     );
 
-    // Every *other* cell must be byte-identical to the clean run.
+    // Every *other* cell must be byte-identical to the clean reference.
     let clean_rows = rows(&clean_doc);
     let faulted_rows = rows(&faulted_doc);
     assert_eq!(clean_rows.len(), faulted_rows.len(), "same grid coverage");
@@ -262,6 +259,9 @@ fn cli_maps_errors_to_structured_exit_codes() {
         &["bench", "--isolation", "warp"],
         &["bench", "--mem-limit-mb", "512"],
         &["bench", "--heartbeat-timeout-ms", "500"],
+        // Retries cover worker deaths only, so they need workers.
+        &["bench", "--max-retries", "1"],
+        &["bench", "--isolation", "thread", "--max-retries", "0"],
         &["bench", "--isolation", "process", "--mem-limit-mb", "0"],
         // Workers recycle after a fixed job count: there is no flag.
         &["bench", "--worker-recycle", "8"],
@@ -375,11 +375,14 @@ fn cli_maps_errors_to_structured_exit_codes() {
         "{stderr}"
     );
 
-    // Malformed fault plans are usage errors too.
-    let out = run(redsoc()
-        .args(["bench", "--len", "50"])
-        .env("REDSOC_FAULT", "not-a-spec"));
-    assert_eq!(exit_code(&out), 2, "bad REDSOC_FAULT: {out:?}");
+    // Malformed fault plans are usage errors too, and a panic takes no
+    // attempt count.
+    for spec in ["not-a-spec", "crc/BIG/redsoc=panic:2"] {
+        let out = run(redsoc()
+            .args(["bench", "--len", "50"])
+            .env("REDSOC_FAULT", spec));
+        assert_eq!(exit_code(&out), 2, "bad REDSOC_FAULT={spec}: {out:?}");
+    }
 
     // I/O errors: exit 1.
     let out = run(redsoc().args(["sweepcmp", "/nonexistent/a.json", "/nonexistent/b.json"]));
@@ -437,13 +440,11 @@ fn tail_window_kill_after_last_job_loses_nothing_on_resume() {
     // is fsynced before the document write, so resume must restore every
     // cell, re-run nothing, and reproduce the reference sweep exactly.
     let dir = tmp_dir("tailkill");
-    let clean = dir.join("clean.json");
+    let clean = committed_sweep();
     let dead = dir.join("dead.json");
     let resumed = dir.join("resumed.json");
     let journal = dir.join("sweep.jnl");
 
-    let out = run(redsoc().args(bench_args(&clean)));
-    assert_eq!(exit_code(&out), 0, "reference sweep must succeed: {out:?}");
     let clean_doc = load_sweep(&clean);
     let n_cells = rows(&clean_doc).len();
 
@@ -493,21 +494,20 @@ fn tail_window_kill_after_last_job_loses_nothing_on_resume() {
 fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() {
     // The process-isolation acceptance path, end to end:
     //  1. a clean process-isolated sweep is canonically identical to the
-    //     thread-isolated reference;
+    //     committed (thread-isolated) reference;
     //  2. injected abort and oom faults — fatal to the whole run under
     //     thread isolation — degrade to two quarantined cells with the
-    //     right error kinds (killed / oom-killed) and exit 4;
+    //     right error kinds (killed / oom-killed), each retried once, and
+    //     an injected panic quarantines after one attempt; the sweep
+    //     exits 4;
     //  3. resuming the degraded journal without the faults completes the
-    //     two cells and reproduces the reference exactly.
+    //     three cells and reproduces the reference exactly.
     let dir = tmp_dir("prociso");
-    let reference = dir.join("thread.json");
+    let reference = committed_sweep();
     let process = dir.join("process.json");
     let degraded = dir.join("degraded.json");
     let repaired = dir.join("repaired.json");
     let journal = dir.join("proc.jnl");
-
-    let out = run(redsoc().args(bench_args(&reference)));
-    assert_eq!(exit_code(&out), 0, "thread reference must succeed: {out:?}");
 
     let out = run(redsoc()
         .args(bench_args(&process))
@@ -527,16 +527,17 @@ fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() 
     let out = run(redsoc()
         .args(bench_args(&degraded))
         .args(["--isolation", "process", "--mem-limit-mb", "1024"])
+        .args(["--max-retries", "1"])
         .args(["--journal", &journal.display().to_string()])
         .env(
             "REDSOC_FAULT",
-            "crc/BIG/redsoc=abort,bitcnt/SMALL/redsoc=oom",
+            "crc/BIG/redsoc=abort,bitcnt/SMALL/redsoc=oom,gsm/MEDIUM/mos=panic",
         ));
     assert_eq!(exit_code(&out), 4, "degraded sweep exits 4: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("2 failed cell(s)"),
-        "both destructive faults quarantine: {stderr}"
+        stderr.contains("3 failed cell(s)"),
+        "both destructive faults and the panic quarantine: {stderr}"
     );
     let degraded_doc = load_sweep(&degraded);
     let aborted = status_of(&degraded_doc, "crc/BIG/redsoc");
@@ -566,8 +567,26 @@ fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() 
         Some(2.0),
         "worker deaths are transient: one try + one retry"
     );
+    let panicked = status_of(&degraded_doc, "gsm/MEDIUM/mos");
+    assert_eq!(
+        panicked.get("status").and_then(Json::as_str),
+        Some("quarantined")
+    );
+    assert_eq!(
+        panicked
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("panicked"),
+        "a worker survives a caught panic: {panicked:?}"
+    );
+    assert_eq!(
+        panicked.get("attempts").and_then(Json::as_num),
+        Some(1.0),
+        "a deterministic panic is not retried, in a worker either"
+    );
 
-    // Clean resume: only the two quarantined cells re-run, faultless.
+    // Clean resume: only the three quarantined cells re-run, faultless.
     let out = run(redsoc()
         .args(bench_args(&repaired))
         .args(["--isolation", "process"])
@@ -581,7 +600,7 @@ fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() 
     assert_eq!(
         exit_code(&out),
         0,
-        "repaired sweep must match the thread reference: {out:?}"
+        "repaired sweep must match the committed reference: {out:?}"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -596,18 +615,11 @@ fn freeze_fault_is_reaped_by_heartbeat_supervision() {
     // baseline: it completes, with no baseline to compare against.
     let dir = tmp_dir("freeze");
     let out_path = dir.join("frozen.json");
-    // No retry: one freeze is enough. `bench_args` retries once, and a
-    // flag may be given only once.
-    let mut args = bench_args(&out_path);
-    let retries = args
-        .iter()
-        .position(|a| a == "--max-retries")
-        .expect("flag")
-        + 1;
-    args[retries] = "0".to_string();
+    // No retry: one freeze is enough.
     let out = run(redsoc()
-        .args(args)
+        .args(bench_args(&out_path))
         .args(["--isolation", "process", "--heartbeat-timeout-ms", "1500"])
+        .args(["--max-retries", "0"])
         .env("REDSOC_FAULT", "CONV/MEDIUM/baseline=freeze"));
     assert_eq!(
         exit_code(&out),

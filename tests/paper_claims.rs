@@ -9,6 +9,7 @@
 //! by in-repo crates the simulated numbers are unchanged and every
 //! assertion passes as written.
 
+use redsoc::bench::DEFAULT_TRACE_LEN;
 use redsoc::core::sched::ts::run_ts;
 use redsoc::prelude::*;
 
@@ -164,6 +165,32 @@ fn width_prediction_aggressive_rate_is_small() {
         mean < 0.01,
         "mean aggressive rate should be sub-1%: {mean:.4}"
     );
+}
+
+/// §II-B: the table size cannot change a prediction in the report. The
+/// predictor indexes its table by word-PC modulo the table size. No two
+/// word-PCs a paper benchmark commits at the report's trace length share
+/// a slot of a 256-entry table, so none share one of any larger
+/// power-of-two table either (the paper's 4096 entries included), and
+/// every such size predicts alike.
+#[test]
+fn width_predictor_size_cannot_matter_on_the_paper_set() {
+    const SLOTS: u32 = 256;
+    let entries = SchedulerConfig::redsoc().width_predictor_entries;
+    assert!(entries.is_power_of_two() && entries >= SLOTS as usize);
+    for bench in Benchmark::paper_set() {
+        let mut owner = [None; SLOTS as usize];
+        for op in bench.trace(DEFAULT_TRACE_LEN) {
+            let word = op.pc >> 2;
+            let slot = owner[(word % SLOTS) as usize].get_or_insert(word);
+            assert_eq!(
+                *slot,
+                word,
+                "{}: word-PCs {slot} and {word} share a slot",
+                bench.name()
+            );
+        }
+    }
 }
 
 /// §V: slack-tracking precision saturates at 3 bits on an arithmetic
