@@ -122,7 +122,9 @@ impl JournalRecord {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
+    /// Returns a description of the first missing or mistyped field; a
+    /// count that is negative, fractional or out of its type's range is
+    /// mistyped.
     pub fn from_json(doc: &Json) -> Result<JournalRecord, String> {
         let str_field = |k: &str| {
             doc.get(k)
@@ -130,51 +132,38 @@ impl JournalRecord {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field {k:?}"))
         };
-        let num_field = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
         let key = str_field("key")?;
         let digest = str_field("digest")?;
-        let attempts = num_field("attempts")? as u32;
-        let wall_seconds = num_field("wall_seconds")?;
+        let attempts = doc.count("attempts")?;
+        let wall_seconds = doc
+            .get("wall_seconds")
+            .and_then(Json::as_num)
+            .ok_or("missing numeric field \"wall_seconds\"")?;
         if Duration::try_from_secs_f64(wall_seconds).is_err() {
             return Err(format!("wall_seconds {wall_seconds} is not a duration"));
         }
-        let cycles = num_field("cycles")? as u64;
-        let committed = num_field("committed")? as u64;
+        let cycles = doc.count("cycles")?;
+        let committed = doc.count("committed")?;
         let summary = match str_field("kind")?.as_str() {
             "sim" => {
                 let stalls_obj = doc.get("stalls").ok_or("missing stalls object")?;
                 let mut stalls = [0u64; 10];
                 for (slot, label) in stalls.iter_mut().zip(stall_labels()) {
-                    *slot = stalls_obj
-                        .get(label)
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("missing stall counter {label:?}"))?
-                        as u64;
+                    *slot = stalls_obj.count(label)?;
                 }
                 let memory = match doc.get("memory") {
                     None => None,
-                    Some(mem) => {
-                        let mem_num = |k: &str| {
-                            mem.get(k)
-                                .and_then(Json::as_num)
-                                .ok_or_else(|| format!("missing memory field {k:?}"))
-                        };
-                        Some(MemSummary {
-                            model: mem
-                                .get("model")
-                                .and_then(Json::as_str)
-                                .map(str::to_string)
-                                .ok_or("missing memory field \"model\"")?,
-                            mshr_rejects: mem_num("mshr_rejects")? as u64,
-                            mshr_merges: mem_num("mshr_merges")? as u64,
-                            port_wait_cycles: mem_num("port_wait_cycles")? as u64,
-                            dram_wait_cycles: mem_num("dram_wait_cycles")? as u64,
-                        })
-                    }
+                    Some(mem) => Some(MemSummary {
+                        model: mem
+                            .get("model")
+                            .and_then(Json::as_str)
+                            .map(str::to_string)
+                            .ok_or("missing memory field \"model\"")?,
+                        mshr_rejects: mem.count("mshr_rejects")?,
+                        mshr_merges: mem.count("mshr_merges")?,
+                        port_wait_cycles: mem.count("port_wait_cycles")?,
+                        dram_wait_cycles: mem.count("dram_wait_cycles")?,
+                    }),
                 };
                 CellSummary::Sim {
                     cycles,
@@ -188,7 +177,7 @@ impl JournalRecord {
             "ts" => CellSummary::Ts {
                 cycles,
                 committed,
-                clock_ps: match num_field("clock_ps")? as u32 {
+                clock_ps: match doc.count("clock_ps")? {
                     0 => return Err("clock_ps must be positive".into()),
                     ps => ps,
                 },
@@ -539,6 +528,27 @@ mod tests {
                 resume_with_middle_line("wall-range", bad.as_bytes()),
                 ["a/BIG/redsoc"],
                 "wall_seconds {wall}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_counts_are_corrupt() {
+        // Restored as 0, 2, u64::MAX and u32::MAX before counts were
+        // checked.
+        let line = rec("c/BIG/redsoc", "d", 300).to_json().compact();
+        for (good, bad) in [
+            ("\"cycles\": 300", "\"cycles\": -5"),
+            ("\"cycles\": 300", "\"cycles\": 2.5"),
+            ("\"cycles\": 300", "\"cycles\": 1e400"),
+            ("\"attempts\": 1", "\"attempts\": 4294967297"),
+        ] {
+            let doctored = line.replace(good, bad);
+            assert_ne!(doctored, line, "fixture line carries {good}");
+            assert_eq!(
+                resume_with_middle_line("bad-count", doctored.as_bytes()),
+                ["a/BIG/redsoc"],
+                "{bad}"
             );
         }
     }

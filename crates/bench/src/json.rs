@@ -80,6 +80,25 @@ impl Json {
         }
     }
 
+    /// The count under `key`: a number that is finite, non-negative,
+    /// whole and no larger than `T::MAX`. The emitter writes `u64::MAX`
+    /// as its nearest `f64`, 2^64, which reads back as `u64::MAX`.
+    ///
+    /// # Errors
+    ///
+    /// Names `key` when it is absent, not a number, or not such a count.
+    pub(crate) fn count<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self
+            .get(key)
+            .and_then(Json::as_num)
+            .ok_or_else(|| format!("missing numeric field {key:?}"))?;
+        let whole = n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64;
+        whole
+            .then_some(n as u64)
+            .and_then(|c| T::try_from(c).ok())
+            .ok_or_else(|| format!("field {key:?} = {n} is not a count"))
+    }
+
     /// Serialise with two-space indentation and a trailing newline.
     #[must_use]
     pub fn pretty(&self) -> String {

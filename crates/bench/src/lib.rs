@@ -27,8 +27,6 @@
 //!   and are not re-run;
 //! - [`json`] — a dependency-free JSON value/emitter/parser for the
 //!   machine-readable sweep output;
-//! - [`microbench`] — a minimal wall-clock micro-benchmark harness for the
-//!   `cargo bench` targets;
 //! - [`worker`] / [`pool`] — the process-isolation tier behind
 //!   `redsoc bench --isolation process`: a length-prefixed frame
 //!   protocol spoken by disposable `redsoc worker` children, and the
@@ -41,7 +39,6 @@
 pub mod grid;
 pub mod journal;
 pub mod json;
-pub mod microbench;
 pub mod pool;
 pub mod report;
 pub mod runner;

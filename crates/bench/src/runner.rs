@@ -11,10 +11,10 @@
 //! Every job runs under the [`supervisor`](crate::supervisor): the body
 //! executes inside `catch_unwind`, failures are classified into the
 //! structured [`JobError`] taxonomy, a dead worker's job retries at once
-//! up to a bound, a cooperative cycle-budget watchdog ([`CancelToken`])
-//! bounds runaway jobs, and a failing job degrades to one
-//! `failed`/`timeout`/`quarantined` **cell** of the grid instead of
-//! aborting the sweep. Completed cells are checkpointed to an
+//! up to a bound, a cycle-budget watchdog
+//! ([`Simulator::with_cycle_budget`]) bounds runaway jobs, and a failing
+//! job degrades to one `failed`/`timeout`/`quarantined` **cell** of the
+//! grid instead of aborting the sweep. Completed cells are checkpointed to an
 //! append-only [`Journal`] as they finish, and a
 //! resumed sweep restores them instead of re-running.
 //!
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use redsoc_core::config::CoreConfig;
 use redsoc_core::events::RingSink;
-use redsoc_core::pipeline::{CancelToken, SimError, Simulator};
+use redsoc_core::pipeline::{SimError, Simulator};
 use redsoc_core::sched::ts::{ts_config, TsScheduler};
 use redsoc_core::stats::{SimReport, StallCause};
 use redsoc_isa::instruction::Instr;
@@ -226,7 +226,7 @@ pub(crate) fn attempt_with_faults(
     };
     let mut sim = sim.map_err(|e| (JobError::Sim(e), Vec::new()))?;
     if let Some(budget) = sup.job_timeout_cycles {
-        sim = sim.with_cancel(CancelToken::with_budget(budget));
+        sim = sim.with_cycle_budget(budget);
     }
     let mut ring = RingSink::new(RingSink::DEFAULT_CAP);
     let run = if fault == Some(Fault::Hang) {

@@ -186,7 +186,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
+    /// Returns a description of the first missing or mistyped field; a
+    /// count that is negative, fractional or out of its type's range is
+    /// mistyped.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let str_field = |k: &str| {
             doc.get(k)
@@ -194,20 +196,15 @@ impl JobSpec {
                 .map(str::to_string)
                 .ok_or_else(|| format!("job frame missing string field {k:?}"))
         };
-        let num_field = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("job frame missing numeric field {k:?}"))
-        };
         Ok(JobSpec {
             bench: str_field("bench")?,
             core: str_field("core")?,
             mem_model: str_field("mem_model")?,
             mode: str_field("mode")?,
-            trace_len: num_field("trace_len")? as u64,
+            trace_len: doc.count("trace_len")?,
             digest: str_field("digest")?,
-            attempt: num_field("attempt")? as u32,
-            budget: doc.get("budget").and_then(Json::as_num).map(|b| b as u64),
+            attempt: doc.count("attempt")?,
+            budget: doc.get("budget").map(|_| doc.count("budget")).transpose()?,
             ts_base: None,
             fault: doc.get("fault").and_then(Json::as_str).map(str::to_string),
         })
@@ -281,18 +278,14 @@ pub fn job_error_to_json(err: &JobError) -> Json {
 ///
 /// # Errors
 ///
-/// Returns a description of the first missing field or unknown kind.
+/// Returns a description of the first missing or mistyped field (see
+/// [`JobSpec::from_json`]) or unknown kind.
 pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
     let str_field = |k: &str| {
         doc.get(k)
             .and_then(Json::as_str)
             .map(str::to_string)
             .ok_or_else(|| format!("error frame missing string field {k:?}"))
-    };
-    let num_field = |k: &str| {
-        doc.get(k)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("error frame missing numeric field {k:?}"))
     };
     let events = || -> Vec<String> {
         doc.get("recent_events")
@@ -307,13 +300,13 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
     };
     match str_field("kind")?.as_str() {
         "sim-deadlock" => Ok(JobError::Sim(SimError::Deadlock {
-            cycle: num_field("cycle")? as u64,
-            committed: num_field("committed")? as u64,
+            cycle: doc.count("cycle")?,
+            committed: doc.count("committed")?,
             recent_events: events(),
         })),
         "sim-cancelled" => Ok(JobError::Sim(SimError::Cancelled {
-            cycle: num_field("cycle")? as u64,
-            committed: num_field("committed")? as u64,
+            cycle: doc.count("cycle")?,
+            committed: doc.count("committed")?,
             recent_events: events(),
         })),
         "sim-badconfig" => Ok(JobError::Sim(SimError::BadConfig(str_field("message")?))),
@@ -321,14 +314,14 @@ pub fn job_error_from_json(doc: &Json) -> Result<JobError, String> {
             payload: str_field("payload")?,
         }),
         "timeout" => Ok(JobError::Timeout {
-            budget: num_field("budget")? as u64,
+            budget: doc.count("budget")?,
         }),
         "killed" => Ok(JobError::Killed {
-            signal: num_field("signal")? as i32,
+            signal: doc.count("signal")?,
         }),
         "oom-killed" => Ok(JobError::OomKilled),
         "heartbeat-lost" => Ok(JobError::HeartbeatLost {
-            timeout_ms: num_field("timeout_ms")? as u64,
+            timeout_ms: doc.count("timeout_ms")?,
         }),
         "protocol" => Ok(JobError::ProtocolError {
             detail: str_field("detail")?,
@@ -737,11 +730,20 @@ mod tests {
             trace_len: 2000,
             digest: "abc123".into(),
             attempt: 2,
-            budget: Some(1_000_000),
+            // `--job-timeout 18446744073709551615`: written as 2^64.
+            budget: Some(u64::MAX),
             ts_base: None,
             fault: Some("panic".into()),
         };
         assert_eq!(JobSpec::from_json(&full.to_json()).unwrap(), full);
+        let Json::Obj(mut fields) = full.to_json() else {
+            unreachable!("a job frame is an object")
+        };
+        fields.insert("budget".into(), Json::Num(-1.0));
+        assert!(
+            JobSpec::from_json(&Json::Obj(fields)).is_err(),
+            "a negative budget is not a count"
+        );
         let with_base = JobSpec {
             ts_base: Some((1234, 999)),
             ..full.clone()

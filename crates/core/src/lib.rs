@@ -74,13 +74,13 @@ pub mod prelude {
     pub use crate::events::{
         ChromeTraceSink, EventSink, JsonlSink, NullSink, PipeEvent, RingSink, VecSink,
     };
-    pub use crate::pipeline::{simulate, simulate_events, CancelToken, SimError, Simulator};
+    pub use crate::pipeline::{simulate, simulate_events, SimError, Simulator};
     pub use crate::sched::ts::{run_ts, TsResult};
     pub use crate::sched::{build_scheduler, Scheduler, SelectRequest};
     pub use crate::stats::{ChainStats, OpCategory, OpMix, SimReport, StallBreakdown, StallCause};
 }
 
 pub use config::{CoreConfig, SchedMode, SchedulerConfig};
-pub use pipeline::{simulate, simulate_events, CancelToken, SimError, Simulator};
+pub use pipeline::{simulate, simulate_events, SimError, Simulator};
 pub use sched::Scheduler;
 pub use stats::SimReport;

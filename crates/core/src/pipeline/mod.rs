@@ -47,9 +47,6 @@ pub mod issue;
 pub mod state;
 pub mod wakeup;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use redsoc_isa::instruction::Instr;
 use redsoc_isa::opcode::ExecClass;
 use redsoc_isa::trace::DynOp;
@@ -79,9 +76,9 @@ pub enum SimError {
     },
     /// The core configuration failed validation.
     BadConfig(String),
-    /// The run was cancelled cooperatively — its [`CancelToken`] was
-    /// triggered, or the token's cycle budget ran out. The partial run is
-    /// discarded; this is the supervisor's watchdog path, not a model bug.
+    /// The run reached its cycle budget
+    /// ([`Simulator::with_cycle_budget`]). The partial run is discarded;
+    /// this is the supervisor's watchdog path, not a model bug.
     Cancelled {
         /// Cycle at which the cancellation was observed.
         cycle: u64,
@@ -130,62 +127,6 @@ impl core::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Cooperative cancellation handle for a simulation run.
-///
-/// A token carries an optional **cycle budget** and a shared cancellation
-/// flag. The simulator polls the token from its main loop (every 1024
-/// cycles, so the check costs nothing measurable) and returns
-/// [`SimError::Cancelled`] once either trips. Clone the token before
-/// handing it to [`Simulator::with_cancel`] to keep a handle for
-/// triggering cancellation from another thread (a watchdog, a signal
-/// handler, a supervisor).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    budget: Option<u64>,
-}
-
-impl CancelToken {
-    /// A token that never fires on its own (cancel via [`Self::cancel`]).
-    #[must_use]
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// A token that fires once the simulated cycle count reaches
-    /// `max_cycles` — the job-level runaway watchdog.
-    #[must_use]
-    pub fn with_budget(max_cycles: u64) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            budget: Some(max_cycles),
-        }
-    }
-
-    /// Request cancellation from any thread.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the flag has been raised (does not consider the budget).
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The cycle budget, if one was set.
-    #[must_use]
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Whether a run at `cycle` should stop.
-    #[must_use]
-    pub fn should_stop(&self, cycle: u64) -> bool {
-        self.budget.is_some_and(|b| cycle >= b) || self.is_cancelled()
-    }
-}
-
 /// The simulator: pipeline state plus the scheduling policy driving it.
 /// Construct with [`Simulator::new`] (policy chosen by
 /// `config.sched.mode`) or [`Simulator::with_scheduler`] (any
@@ -207,7 +148,9 @@ impl CancelToken {
 pub struct Simulator {
     state: PipelineState,
     sched: Box<dyn Scheduler>,
-    cancel: CancelToken,
+    /// The run stops once the cycle count reaches this; `u64::MAX` (the
+    /// default) never trips.
+    cycle_budget: u64,
 }
 
 impl Simulator {
@@ -234,16 +177,18 @@ impl Simulator {
         Ok(Simulator {
             state: PipelineState::new(config)?,
             sched,
-            cancel: CancelToken::new(),
+            cycle_budget: u64::MAX,
         })
     }
 
-    /// Attach a cancellation token (builder-style). The run polls the
-    /// token and returns [`SimError::Cancelled`] once it trips — the
-    /// cooperative cycle-budget watchdog used by the sweep supervisor.
+    /// Stop the run with [`SimError::Cancelled`] once the simulated cycle
+    /// count reaches `max_cycles` (builder-style) — the job-level runaway
+    /// watchdog the sweep supervisor attaches. The budget is polled every
+    /// 1024 cycles, so a run stops at the first multiple of 1024 at or
+    /// after it.
     #[must_use]
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
+    pub fn with_cycle_budget(mut self, max_cycles: u64) -> Self {
+        self.cycle_budget = max_cycles;
         self
     }
 
@@ -270,7 +215,7 @@ impl Simulator {
     ///
     /// Returns [`SimError::Deadlock`] if the pipeline stops making
     /// progress (a model bug guard, not an expected outcome), or
-    /// [`SimError::Cancelled`] if an attached [`CancelToken`] tripped.
+    /// [`SimError::Cancelled`] if the run reached its cycle budget.
     pub fn run(self, trace: impl Iterator<Item = DynOp>) -> Result<SimReport, SimError> {
         self.run_events(trace, &mut NullSink)
     }
@@ -295,16 +240,16 @@ impl Simulator {
         let Simulator {
             mut state,
             sched,
-            cancel,
+            cycle_budget,
         } = self;
         let sched = &*sched;
         let mut last_progress_cycle = 0u64;
         let mut last_committed = 0u64;
         loop {
-            // Cooperative cancellation: polled every 1024 cycles so the
-            // hot loop stays branch-predictable and watchdog budgets are
+            // The cycle budget is polled every 1024 cycles so the hot
+            // loop stays branch-predictable and watchdog budgets are
             // still observed within a rounding error of their value.
-            if state.cycle & 0x3FF == 0 && cancel.should_stop(state.cycle) {
+            if state.cycle & 0x3FF == 0 && state.cycle >= cycle_budget {
                 return Err(SimError::Cancelled {
                     cycle: state.cycle,
                     committed: state.committed_total,

@@ -114,7 +114,7 @@ fn cycle_budget_cancels_a_long_run() {
     let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
     let err = Simulator::new(config)
         .expect("valid config")
-        .with_cancel(CancelToken::with_budget(512))
+        .with_cycle_budget(512)
         .run(trace.into_iter())
         .expect_err("budget must cancel the run");
     match err {
@@ -131,28 +131,14 @@ fn cycle_budget_cancels_a_long_run() {
 }
 
 #[test]
-fn external_cancel_flag_stops_the_run_immediately() {
-    let trace = logic_chain_trace(5_000);
-    let token = CancelToken::new();
-    token.cancel();
-    let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
-    let err = Simulator::new(config)
-        .expect("valid config")
-        .with_cancel(token)
-        .run(trace.into_iter())
-        .expect_err("pre-cancelled token must stop the run");
-    assert!(matches!(err, SimError::Cancelled { cycle: 0, .. }));
-}
-
-#[test]
-fn unattached_token_runs_to_completion() {
+fn run_within_its_cycle_budget_completes() {
     let trace = logic_chain_trace(2_000);
     let config = CoreConfig::big().with_sched(SchedulerConfig::baseline());
     let rep = Simulator::new(config)
         .expect("valid config")
-        .with_cancel(CancelToken::new())
+        .with_cycle_budget(1_000_000)
         .run(trace.into_iter())
-        .expect("no budget, no cancel: must complete");
+        .expect("a budget the run stays under must not stop it");
     assert_eq!(rep.committed, 2_001);
 }
 

@@ -255,12 +255,6 @@ impl Instr {
     pub fn is_mem(&self) -> bool {
         matches!(self, Instr::Load { .. } | Instr::Store { .. })
     }
-
-    /// Whether this is a control-flow operation.
-    #[must_use]
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Instr::Branch { .. } | Instr::Halt)
-    }
 }
 
 impl fmt::Display for Instr {

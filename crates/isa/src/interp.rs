@@ -127,11 +127,6 @@ impl<'p> Interpreter<'p> {
         self.regs[r.index()]
     }
 
-    /// Write an architectural register (useful to seed test inputs).
-    pub fn set_reg(&mut self, r: ArchReg, value: u64) {
-        self.regs[r.index()] = value;
-    }
-
     /// Read bytes from simulated memory (for checking kernel outputs).
     #[must_use]
     pub fn mem(&self, addr: u32, len: u32) -> &[u8] {

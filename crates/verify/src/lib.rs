@@ -117,7 +117,9 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases to generate and check.
     pub cases: u64,
-    /// Static instruction budget per generated program.
+    /// Static instruction budget per generated program. The oracle
+    /// executes at most [`oracle::MAX_DYN_OPS`] ops of a case, so a
+    /// larger budget only generates ops that never run.
     pub max_instrs: usize,
     /// Scheduling policies every case runs under.
     pub scheds: Vec<SchedKind>,
@@ -283,7 +285,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> std::io::Re
         let oracle_cfg = OracleConfig {
             core,
             scheds: cfg.scheds.clone(),
-            max_dyn_ops: 4096,
+            max_dyn_ops: oracle::MAX_DYN_OPS,
             sabotage_redsoc: cfg.sabotage_redsoc,
         };
         let outcome = check_fuzz_program(&program, &oracle_cfg);

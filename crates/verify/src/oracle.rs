@@ -111,6 +111,10 @@ impl fmt::Display for SchedKind {
     }
 }
 
+/// The dynamic-op budget of every fuzz case: the interpreter stops a
+/// case there, so a generated program longer than this is cut.
+pub const MAX_DYN_OPS: u64 = 4096;
+
 /// What the oracle runs and checks.
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
@@ -134,7 +138,7 @@ impl OracleConfig {
         OracleConfig {
             core,
             scheds: SchedKind::ALL.to_vec(),
-            max_dyn_ops: 4096,
+            max_dyn_ops: MAX_DYN_OPS,
             sabotage_redsoc: false,
         }
     }
@@ -588,7 +592,7 @@ mod tests {
     #[test]
     fn run_view_dumps_what_a_vec_sink_dumps() {
         let trace: Vec<DynOp> = Interpreter::new(&chain_program())
-            .run(4096)
+            .run(MAX_DYN_OPS)
             .expect("no fault")
             .into_iter()
             .collect();

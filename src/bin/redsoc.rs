@@ -842,7 +842,7 @@ fn cmd_perfgate(args: &[String]) -> CliResult {
 }
 
 fn cmd_fuzz(args: &[String]) -> CliResult {
-    use redsoc::verify::oracle::SchedKind;
+    use redsoc::verify::oracle::{SchedKind, MAX_DYN_OPS};
     use redsoc::verify::{run_fuzz, FuzzConfig};
     let flags = Flags::parse(
         args,
@@ -861,8 +861,13 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         return Err(usage_err("--cases must be positive"));
     }
     cfg.max_instrs = flags.num("max-instrs", 48usize)?;
-    if cfg.max_instrs == 0 {
-        return Err(usage_err("--max-instrs must be positive"));
+    // The oracle stops every case at MAX_DYN_OPS, so a longer program
+    // would be cut without a word.
+    if !(1..=MAX_DYN_OPS).contains(&(cfg.max_instrs as u64)) {
+        return Err(usage_err(format!(
+            "--max-instrs must be between 1 and {MAX_DYN_OPS}: the oracle runs at most \
+             {MAX_DYN_OPS} ops per case"
+        )));
     }
     if let Some(list) = flags.get("schedulers") {
         let mut scheds = Vec::new();

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use redsoc_core::events::{
         ChromeTraceSink, EventSink, JsonlSink, NullSink, PipeEvent, RingSink, VecSink,
     };
-    pub use redsoc_core::pipeline::{simulate, simulate_events, CancelToken, SimError, Simulator};
+    pub use redsoc_core::pipeline::{simulate, simulate_events, SimError, Simulator};
     pub use redsoc_core::sched::ts::{run_ts, TsResult};
     pub use redsoc_core::sched::{build_scheduler, Scheduler, SelectRequest};
     pub use redsoc_core::stats::{OpCategory, SimReport, StallBreakdown, StallCause};

@@ -251,6 +251,8 @@ fn cli_maps_errors_to_structured_exit_codes() {
         &["bench", "--resume", "a.jnl", "--journal", "b.jnl"],
         &["bench", "--job-timeout", "0"],
         &["fuzz", "--cases", "0"],
+        // The oracle runs 4,096 ops of a case; a longer program is cut.
+        &["fuzz", "--max-instrs", "4097", "--cases", "1"],
         &["fuzz", "--schedulers", "nosuchsched"],
         &["fuzz", "--sabotage", "nope"],
         // Process-isolation flag validation: the worker knobs make no

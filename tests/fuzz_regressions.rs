@@ -26,7 +26,7 @@ use redsoc::isa::interp::Interpreter;
 use redsoc::mem::MemModelConfig;
 use redsoc::prelude::*;
 use redsoc::verify::gen::{gen_case, GenKnobs};
-use redsoc::verify::oracle::{check_program, Divergence, OracleConfig, SchedKind};
+use redsoc::verify::oracle::{check_program, Divergence, OracleConfig, SchedKind, MAX_DYN_OPS};
 use redsoc::verify::{case_seed, core_by_name, fuzz_contended, mem_model_by_label, FuzzConfig};
 
 /// All committed repro files, sorted for deterministic test order.
@@ -165,7 +165,7 @@ fn ts_scheduler_reproduces_the_baseline_run() {
     }
     for (name, program) in &programs {
         let trace: Vec<DynOp> = Interpreter::new(program)
-            .run(4096)
+            .run(MAX_DYN_OPS)
             .expect("program runs")
             .into_iter()
             .collect();
