@@ -298,8 +298,8 @@ impl Journal {
 
     /// Arm the injected mid-sweep kill: the process exits with
     /// [`Self::DIE_EXIT_CODE`] immediately after the `n`-th append is
-    /// flushed. Fault-injection support for the crash-safety tests and
-    /// the CI resume smoke; never armed in production sweeps.
+    /// flushed. Fault-injection support for the crash-safety tests;
+    /// never armed in production sweeps.
     pub fn set_die_after(&mut self, n: Option<u64>) {
         self.die_after = n;
     }

@@ -4,14 +4,13 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use redsoc_core::config::SchedulerConfig;
 use redsoc_core::stats::OpCategory;
 use redsoc_isa::opcode::ExecClass;
 use redsoc_timing::kogge_stone::{delay_series, prefix_stages};
 use redsoc_timing::optime::{fig1_series, CYCLE_PS};
 use redsoc_timing::power::DvfsCurve;
 use redsoc_timing::slack::{SlackBucket, SlackLut};
-use redsoc_timing::width_predictor::WidthPredictor;
+use redsoc_timing::width_predictor::{self, WidthPredictor};
 use redsoc_workloads::{BenchClass, Benchmark};
 
 use super::{precision, pvt, threshold, OP_MIX};
@@ -445,7 +444,7 @@ fn width_section(r: &Results) -> String {
     let key = |b| (b, "BIG", Mode::Redsoc, Variant::default());
     let rate = |b, name| r.pct(key(b), name, "width_predictions");
     let rows = bench_rows(&OUTCOMES, (3, "%"), false, rate);
-    let entries = SchedulerConfig::redsoc().width_predictor_entries;
+    let entries = width_predictor::DEFAULT_ENTRIES;
     let title = format!("Width predictor on BIG (ReDSOC, {entries} entries): mispredictions (%)");
     let per_benchmark = table(&title, &["benchmark", "aggressive", "conservative"], &rows);
 

@@ -12,10 +12,9 @@
 //! reproduces the failure bit for bit.
 //!
 //! The module also hosts the **fault-injection plan** ([`FaultPlan`])
-//! used by the crash-safety test harness and the CI resume smoke: faults
-//! are keyed by job (`bench/CORE/mode`) and can make a cell panic, hang
-//! until the watchdog fires, fail with a simulator error, or kill its
-//! worker. Production sweeps run with an empty plan; the injection
+//! used by the crash-safety test harness: faults are keyed by job
+//! (`bench/CORE/mode`) and can make a cell panic, hang until the
+//! watchdog fires, fail with a simulator error, or kill its worker. Production sweeps run with an empty plan; the injection
 //! points cost one hash lookup per job attempt.
 
 use std::collections::HashMap;
@@ -410,7 +409,7 @@ pub struct SupervisorConfig {
     pub max_retries: u32,
     /// Cycle budget per job attempt; `None` disables the watchdog.
     pub job_timeout_cycles: Option<u64>,
-    /// Injected faults (tests and the CI resume smoke; empty otherwise).
+    /// Injected faults (crash-safety tests; empty otherwise).
     pub faults: FaultPlan,
 }
 

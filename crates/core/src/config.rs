@@ -36,11 +36,6 @@ pub struct SchedulerConfig {
     /// Enable eager grandparent wakeup (§IV-B). Without it, slack is only
     /// recycled across boundary-crossing producers.
     pub egpw: bool,
-    /// Last-arriving-operand tag predictor entries (operational design,
-    /// §IV-C; paper uses 1K).
-    pub tag_predictor_entries: usize,
-    /// Data-width predictor entries (§II-B; paper uses 4K).
-    pub width_predictor_entries: usize,
     /// Penalty cycles charged when a last-arrival tag prediction is wrong
     /// (recovery "identical to latency mispredictions but lower penalty").
     pub tag_mispredict_penalty: u32,
@@ -64,8 +59,6 @@ impl SchedulerConfig {
             threshold_ticks: 7,
             skewed_select: true,
             egpw: true,
-            tag_predictor_entries: 1024,
-            width_predictor_entries: 4096,
             tag_mispredict_penalty: 2,
             width_replay_penalty: 3,
             pvt_guard_band: false,

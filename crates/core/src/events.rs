@@ -15,10 +15,10 @@
 //!   run-length compression of repeated stall cycles; the deadlock
 //!   watchdog dumps it into [`SimError::Deadlock`](crate::pipeline::SimError);
 //! - [`JsonlSink`] — one JSON object per line to any `io::Write`
-//!   (`redsoc trace --format jsonl`);
+//!   (`redsoc run --events`);
 //! - [`ChromeTraceSink`] — a Chrome `trace_event` document loadable in
 //!   `chrome://tracing` / Perfetto, with one track per pipeline stage and
-//!   one per functional unit (`redsoc trace --format chrome`).
+//!   one per functional unit (`redsoc trace`).
 //!
 //! Timestamps are CI *ticks* (`ticks_per_cycle` per clock cycle), so
 //! sub-cycle behaviour — transparent mid-cycle starts, completion

@@ -20,14 +20,14 @@ use redsoc_mem::{build_memory_model, MemoryModel};
 use redsoc_timing::optime::MultiCycleLatencies;
 use redsoc_timing::pvt::PvtModel;
 use redsoc_timing::slack::{SlackLut, WidthClass};
-use redsoc_timing::width_predictor::WidthPredictor;
+use redsoc_timing::width_predictor::{self, WidthPredictor};
 use redsoc_timing::Quant;
 
 use crate::branch::Gshare;
 use crate::config::CoreConfig;
 use crate::fu::{FuPool, PoolKind};
 use crate::stats::SimReport;
-use crate::tag_pred::{LastArrival, TagPredictor};
+use crate::tag_pred::{self, LastArrival, TagPredictor};
 
 use super::wakeup::WakeupState;
 use super::SimError;
@@ -375,8 +375,8 @@ impl PipelineState {
             simd: FuPool::new(config.simd_units),
             fp: FuPool::new(config.fp_units),
             mem_ports: FuPool::new(config.mem_ports),
-            width_pred: WidthPredictor::new(config.sched.width_predictor_entries, 3),
-            tag_pred: TagPredictor::new(config.sched.tag_predictor_entries),
+            width_pred: WidthPredictor::new(width_predictor::DEFAULT_ENTRIES, 3),
+            tag_pred: TagPredictor::new(tag_pred::DEFAULT_ENTRIES),
             gshare: Gshare::default_config(),
             memory,
             wakeup: WakeupState::new(),

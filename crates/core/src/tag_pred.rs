@@ -14,6 +14,9 @@
 //! two unresolved register sources need no prediction, and unconfident
 //! entries decline to predict (conventional wakeup instead).
 
+/// Table size of the simulated core's predictor (paper: 1K entries).
+pub const DEFAULT_ENTRIES: usize = 1024;
+
 /// Predictor statistics (the Fig. 12 measurement).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TagPredStats {

@@ -31,7 +31,10 @@
 //! ```
 //!
 //! Labels may be referenced before they are defined. Mnemonics are
-//! case-insensitive.
+//! case-insensitive. Each token class is read through the one spelling
+//! its type owns — the `mnemonic` tables of [`crate::opcode`], the
+//! `Display` of [`SimdType`] and [`ShiftKind`] — which is what
+//! [`crate::disasm`] prints.
 
 use std::collections::HashMap;
 
@@ -324,18 +327,10 @@ impl Assembler {
             [reg, shift] => {
                 let reg = self.reg(reg, ln)?;
                 let mut it = shift.split_whitespace();
-                let kind = match it
-                    .next()
-                    .ok_or_else(|| err(ln, "missing shift kind"))?
-                    .to_ascii_lowercase()
-                    .as_str()
-                {
-                    "lsl" => ShiftKind::Lsl,
-                    "lsr" => ShiftKind::Lsr,
-                    "asr" => ShiftKind::Asr,
-                    "ror" => ShiftKind::Ror,
-                    other => return Err(err(ln, format!("unknown shift {other:?}"))),
-                };
+                let kind = it.next().ok_or_else(|| err(ln, "missing shift kind"))?;
+                let kind = spelled(ShiftKind::ALL, |k| k.to_string(), kind).ok_or_else(|| {
+                    err(ln, format!("unknown shift {:?}", kind.to_ascii_lowercase()))
+                })?;
                 let amount = self.imm(
                     it.next().ok_or_else(|| err(ln, "missing shift amount"))?,
                     ln,
@@ -374,7 +369,6 @@ impl Assembler {
         Ok((base, offset))
     }
 
-    #[allow(clippy::too_many_lines)]
     fn instruction(&mut self, line: &str, ln: usize) -> Result<(), AsmError> {
         let (mnemonic, rest) = match line.find(char::is_whitespace) {
             Some(i) => (line[..i].to_ascii_lowercase(), line[i..].trim()),
@@ -385,338 +379,164 @@ impl Assembler {
         } else {
             rest.split(',').map(str::trim).collect()
         };
+        let mn = mnemonic.as_str();
+        let need = |ok: bool, operands: &str| {
+            ok.then_some(())
+                .ok_or_else(|| err(ln, format!("{mn} needs {operands}")))
+        };
 
-        // SIMD mnemonics carry a lane suffix: `vadd.i16`.
-        if let Some((base, ty)) = mnemonic.split_once('.') {
-            let ty = match ty {
-                "i8" => SimdType::I8,
-                "i16" => SimdType::I16,
-                "i32" => SimdType::I32,
-                "i64" => SimdType::I64,
-                other => return Err(err(ln, format!("unknown lane type {other:?}"))),
+        let instr = if let Some((base, ty)) = mn.split_once('.') {
+            // SIMD mnemonics carry a lane suffix: `vadd.i16`.
+            let ty = spelled(SimdType::ALL, |t| t.to_string(), ty)
+                .ok_or_else(|| err(ln, format!("unknown lane type {ty:?}")))?;
+            let op = spelled(SimdOp::ALL, SimdOp::mnemonic, base)
+                .ok_or_else(|| err(ln, format!("unknown SIMD mnemonic {base:?}")))?;
+            self.simd(op, ty, &ops, ln)?
+        } else if let Some((op, set_flags)) = spelled(
+            // Flag-setting forms first: compare and test ops spell both
+            // forms alike, and always set flags.
+            AluOp::ALL
+                .into_iter()
+                .flat_map(|op| [(op, true), (op, false)]),
+            |(op, set_flags)| op.asm_mnemonic(set_flags),
+            mn,
+        ) {
+            let (dst, src1, op2) = match op {
+                AluOp::Mov | AluOp::Mvn => {
+                    need(ops.len() >= 2, "dst, op2")?;
+                    let dst = self.reg(ops[0], ln)?;
+                    (Some(dst), None, self.operand2(&ops[1..], ln)?)
+                }
+                _ if !op.has_dst() => {
+                    need(ops.len() >= 2, "src1, op2")?;
+                    let src1 = self.reg(ops[0], ln)?;
+                    (None, Some(src1), self.operand2(&ops[1..], ln)?)
+                }
+                // `rrx rd, rn` rotates by an implicit 1; a third operand
+                // may still spell the rotate out.
+                AluOp::Rrx if ops.len() < 3 => {
+                    need(ops.len() == 2, "dst, src1")?;
+                    let dst = self.reg(ops[0], ln)?;
+                    (Some(dst), Some(self.reg(ops[1], ln)?), Operand2::Imm(1))
+                }
+                _ => {
+                    need(ops.len() >= 3, "dst, src1, op2")?;
+                    let dst = self.reg(ops[0], ln)?;
+                    let src1 = self.reg(ops[1], ln)?;
+                    (Some(dst), Some(src1), self.operand2(&ops[2..], ln)?)
+                }
             };
-            return self.simd_instruction(base, ty, &ops, ln);
-        }
-
-        let alu3 = |op: AluOp, set_flags: bool, asm: &mut Assembler| -> Result<(), AsmError> {
-            if ops.len() < 3 {
-                return Err(err(ln, format!("{mnemonic} needs dst, src1, op2")));
-            }
-            let dst = asm.reg(ops[0], ln)?;
-            let src1 = asm.reg(ops[1], ln)?;
-            let op2 = asm.operand2(&ops[2..], ln)?;
-            asm.builder.push(Instr::Alu {
+            Instr::Alu {
                 op,
-                dst: Some(dst),
-                src1: Some(src1),
+                dst,
+                src1,
                 op2,
                 set_flags,
-            });
-            Ok(())
+            }
+        } else if let Some(op) = spelled(MulOp::ALL, MulOp::mnemonic, mn) {
+            let acc = op == MulOp::Mla;
+            let shape = if acc {
+                "dst, src1, src2, acc"
+            } else {
+                "dst, src1, src2"
+            };
+            need(ops.len() == 3 + usize::from(acc), shape)?;
+            Instr::MulDiv {
+                op,
+                dst: self.reg(ops[0], ln)?,
+                src1: self.reg(ops[1], ln)?,
+                src2: self.reg(ops[2], ln)?,
+                acc: acc.then(|| self.reg(ops[3], ln)).transpose()?,
+            }
+        } else if let Some(op) = spelled(FpOp::ALL, FpOp::mnemonic, mn) {
+            if op.is_convert() {
+                need(ops.len() == 2, "dst, src")?;
+            } else {
+                need(ops.len() == 3, "dst, src1, src2")?;
+            }
+            Instr::Fp {
+                op,
+                dst: self.reg(ops[0], ln)?,
+                src1: self.reg(ops[1], ln)?,
+                src2: (!op.is_convert())
+                    .then(|| self.reg(ops[2], ln))
+                    .transpose()?,
+            }
+        } else if let Some(width) = spelled(MemWidth::ALL, |w| w.mnemonics().0, mn) {
+            need(ops.len() >= 2, "dst, [base(, #off)]")?;
+            let dst = self.reg(ops[0], ln)?;
+            let (base, offset) = self.mem_operand(&ops[1..], ln)?;
+            Instr::Load {
+                dst,
+                base,
+                offset,
+                width,
+            }
+        } else if let Some(width) = spelled(MemWidth::ALL, |w| w.mnemonics().1, mn) {
+            need(ops.len() >= 2, "src, [base(, #off)]")?;
+            let src = self.reg(ops[0], ln)?;
+            let (base, offset) = self.mem_operand(&ops[1..], ln)?;
+            Instr::Store {
+                src,
+                base,
+                offset,
+                width,
+            }
+        } else if let Some(cond) = spelled(Cond::ALL, Cond::mnemonic, mn) {
+            need(ops.len() == 1 && is_ident(ops[0]), "a label")?;
+            Instr::Branch {
+                cond,
+                target: self.label_id(ops[0]),
+            }
+        } else if mn == "halt" {
+            Instr::Halt
+        } else {
+            return Err(err(ln, format!("unknown mnemonic {mn:?}")));
         };
-
-        match mnemonic.as_str() {
-            // Three-operand ALU ops, plain and flag-setting.
-            "add" => alu3(AluOp::Add, false, self),
-            "adds" => alu3(AluOp::Add, true, self),
-            "sub" => alu3(AluOp::Sub, false, self),
-            "subs" => alu3(AluOp::Sub, true, self),
-            "rsb" => alu3(AluOp::Rsb, false, self),
-            "rsbs" => alu3(AluOp::Rsb, true, self),
-            "adc" => alu3(AluOp::Adc, false, self),
-            "adcs" => alu3(AluOp::Adc, true, self),
-            "sbc" => alu3(AluOp::Sbc, false, self),
-            "sbcs" => alu3(AluOp::Sbc, true, self),
-            "rsc" => alu3(AluOp::Rsc, false, self),
-            "rscs" => alu3(AluOp::Rsc, true, self),
-            "and" => alu3(AluOp::And, false, self),
-            "ands" => alu3(AluOp::And, true, self),
-            "orr" => alu3(AluOp::Orr, false, self),
-            "orrs" => alu3(AluOp::Orr, true, self),
-            "eor" => alu3(AluOp::Eor, false, self),
-            "eors" => alu3(AluOp::Eor, true, self),
-            "bic" => alu3(AluOp::Bic, false, self),
-            "bics" => alu3(AluOp::Bic, true, self),
-            "lsl" => alu3(AluOp::Lsl, false, self),
-            "lsls" => alu3(AluOp::Lsl, true, self),
-            "lsr" => alu3(AluOp::Lsr, false, self),
-            "lsrs" => alu3(AluOp::Lsr, true, self),
-            "asr" => alu3(AluOp::Asr, false, self),
-            "asrs" => alu3(AluOp::Asr, true, self),
-            "ror" => alu3(AluOp::Ror, false, self),
-            "rors" => alu3(AluOp::Ror, true, self),
-            "rrx" | "rrxs" => {
-                // Canonical two-operand form (`rrx rd, rn` — the rotate
-                // count is implicitly 1) or an explicit third operand.
-                if ops.len() < 2 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, src1")));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let src1 = self.reg(ops[1], ln)?;
-                let op2 = if ops.len() == 2 {
-                    Operand2::Imm(1)
-                } else {
-                    self.operand2(&ops[2..], ln)?
-                };
-                self.builder.push(Instr::Alu {
-                    op: AluOp::Rrx,
-                    dst: Some(dst),
-                    src1: Some(src1),
-                    op2,
-                    set_flags: mnemonic == "rrxs",
-                });
-                Ok(())
-            }
-            "mov" | "movs" | "mvn" | "mvns" => {
-                if ops.len() < 2 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, op2")));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let op2 = self.operand2(&ops[1..], ln)?;
-                let op = if mnemonic.starts_with("mov") {
-                    AluOp::Mov
-                } else {
-                    AluOp::Mvn
-                };
-                self.builder.push(Instr::Alu {
-                    op,
-                    dst: Some(dst),
-                    src1: None,
-                    op2,
-                    set_flags: mnemonic.ends_with('s'),
-                });
-                Ok(())
-            }
-            "cmp" | "cmn" | "tst" | "teq" => {
-                if ops.len() < 2 {
-                    return Err(err(ln, format!("{mnemonic} needs src1, op2")));
-                }
-                let src1 = self.reg(ops[0], ln)?;
-                let op2 = self.operand2(&ops[1..], ln)?;
-                let op = match mnemonic.as_str() {
-                    "cmp" => AluOp::Cmp,
-                    "cmn" => AluOp::Cmn,
-                    "tst" => AluOp::Tst,
-                    _ => AluOp::Teq,
-                };
-                self.builder.push(Instr::Alu {
-                    op,
-                    dst: None,
-                    src1: Some(src1),
-                    op2,
-                    set_flags: true,
-                });
-                Ok(())
-            }
-            "mul" | "udiv" | "sdiv" => {
-                if ops.len() != 3 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, src1, src2")));
-                }
-                let op = match mnemonic.as_str() {
-                    "mul" => MulOp::Mul,
-                    "udiv" => MulOp::Udiv,
-                    _ => MulOp::Sdiv,
-                };
-                let dst = self.reg(ops[0], ln)?;
-                self.builder.push(Instr::MulDiv {
-                    op,
-                    dst,
-                    src1: self.reg(ops[1], ln)?,
-                    src2: self.reg(ops[2], ln)?,
-                    acc: None,
-                });
-                Ok(())
-            }
-            "mla" => {
-                if ops.len() != 4 {
-                    return Err(err(ln, "mla needs dst, src1, src2, acc"));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                self.builder.push(Instr::MulDiv {
-                    op: MulOp::Mla,
-                    dst,
-                    src1: self.reg(ops[1], ln)?,
-                    src2: self.reg(ops[2], ln)?,
-                    acc: Some(self.reg(ops[3], ln)?),
-                });
-                Ok(())
-            }
-            "fadd" | "fsub" | "fmul" | "fdiv" | "fcmp" => {
-                if ops.len() != 3 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, src1, src2")));
-                }
-                let op = match mnemonic.as_str() {
-                    "fadd" => FpOp::Fadd,
-                    "fsub" => FpOp::Fsub,
-                    "fmul" => FpOp::Fmul,
-                    "fdiv" => FpOp::Fdiv,
-                    _ => FpOp::Fcmp,
-                };
-                self.builder.push(Instr::Fp {
-                    op,
-                    dst: self.reg(ops[0], ln)?,
-                    src1: self.reg(ops[1], ln)?,
-                    src2: Some(self.reg(ops[2], ln)?),
-                });
-                Ok(())
-            }
-            "fcvt" | "ftoi" => {
-                if ops.len() != 2 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, src")));
-                }
-                let op = if mnemonic == "fcvt" {
-                    FpOp::Fcvt
-                } else {
-                    FpOp::Ftoi
-                };
-                self.builder.push(Instr::Fp {
-                    op,
-                    dst: self.reg(ops[0], ln)?,
-                    src1: self.reg(ops[1], ln)?,
-                    src2: None,
-                });
-                Ok(())
-            }
-            "ldr" | "ldrb" | "ldrh" | "vldr" => {
-                if ops.len() < 2 {
-                    return Err(err(ln, format!("{mnemonic} needs dst, [base(, #off)]")));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let (base, offset) = self.mem_operand(&ops[1..], ln)?;
-                let width = match mnemonic.as_str() {
-                    "ldrb" => MemWidth::B1,
-                    "ldrh" => MemWidth::B2,
-                    "vldr" => MemWidth::B8,
-                    _ => MemWidth::B4,
-                };
-                self.builder.push(Instr::Load {
-                    dst,
-                    base,
-                    offset,
-                    width,
-                });
-                Ok(())
-            }
-            "str" | "strb" | "strh" | "vstr" => {
-                if ops.len() < 2 {
-                    return Err(err(ln, format!("{mnemonic} needs src, [base(, #off)]")));
-                }
-                let src = self.reg(ops[0], ln)?;
-                let (base, offset) = self.mem_operand(&ops[1..], ln)?;
-                let width = match mnemonic.as_str() {
-                    "strb" => MemWidth::B1,
-                    "strh" => MemWidth::B2,
-                    "vstr" => MemWidth::B8,
-                    _ => MemWidth::B4,
-                };
-                self.builder.push(Instr::Store {
-                    src,
-                    base,
-                    offset,
-                    width,
-                });
-                Ok(())
-            }
-            "b" | "beq" | "bne" | "bge" | "blt" | "bgt" | "ble" | "bhs" | "blo" => {
-                if ops.len() != 1 || !is_ident(ops[0]) {
-                    return Err(err(ln, format!("{mnemonic} needs a label")));
-                }
-                let cond = match mnemonic.as_str() {
-                    "b" => Cond::Al,
-                    "beq" => Cond::Eq,
-                    "bne" => Cond::Ne,
-                    "bge" => Cond::Ge,
-                    "blt" => Cond::Lt,
-                    "bgt" => Cond::Gt,
-                    "ble" => Cond::Le,
-                    "bhs" => Cond::Hs,
-                    _ => Cond::Lo,
-                };
-                let target = self.label_id(ops[0]);
-                self.builder.push(Instr::Branch { cond, target });
-                Ok(())
-            }
-            "halt" => {
-                self.builder.halt();
-                Ok(())
-            }
-            other => Err(err(ln, format!("unknown mnemonic {other:?}"))),
-        }
-    }
-
-    fn simd_instruction(
-        &mut self,
-        base: &str,
-        ty: SimdType,
-        ops: &[&str],
-        ln: usize,
-    ) -> Result<(), AsmError> {
-        let op = match base {
-            "vadd" => SimdOp::Vadd,
-            "vsub" => SimdOp::Vsub,
-            "vand" => SimdOp::Vand,
-            "vorr" => SimdOp::Vorr,
-            "veor" => SimdOp::Veor,
-            "vmax" => SimdOp::Vmax,
-            "vmin" => SimdOp::Vmin,
-            "vmul" => SimdOp::Vmul,
-            "vmla" => SimdOp::Vmla,
-            "vshl" => SimdOp::Vshl,
-            "vshr" => SimdOp::Vshr,
-            "vdup" => SimdOp::Vdup,
-            other => return Err(err(ln, format!("unknown SIMD mnemonic {other:?}"))),
-        };
-        match op {
-            SimdOp::Vdup => {
-                if ops.len() != 2 {
-                    return Err(err(ln, "vdup needs dst, #imm"));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let v = self.imm(ops[1], ln)?;
-                self.builder.push(Instr::Simd {
-                    op,
-                    ty,
-                    dst,
-                    src1: None,
-                    src2: None,
-                    imm: v as u8,
-                });
-            }
-            SimdOp::Vshl | SimdOp::Vshr => {
-                if ops.len() != 3 {
-                    return Err(err(ln, "SIMD shift needs dst, src, #imm"));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let src1 = self.reg(ops[1], ln)?;
-                let v = self.imm(ops[2], ln)?;
-                self.builder.push(Instr::Simd {
-                    op,
-                    ty,
-                    dst,
-                    src1: Some(src1),
-                    src2: None,
-                    imm: v as u8,
-                });
-            }
-            _ => {
-                if ops.len() != 3 {
-                    return Err(err(ln, "SIMD op needs dst, src1, src2"));
-                }
-                let dst = self.reg(ops[0], ln)?;
-                let src1 = self.reg(ops[1], ln)?;
-                let src2 = self.reg(ops[2], ln)?;
-                self.builder.push(Instr::Simd {
-                    op,
-                    ty,
-                    dst,
-                    src1: Some(src1),
-                    src2: Some(src2),
-                    imm: 0,
-                });
-            }
-        }
+        self.builder.push(instr);
         Ok(())
     }
+
+    fn simd(&self, op: SimdOp, ty: SimdType, ops: &[&str], ln: usize) -> Result<Instr, AsmError> {
+        // What follows `dst`: how many register sources, and whether an
+        // immediate (the shift amount, or the value `vdup` copies) ends it.
+        let (shape, srcs, imm) = match op {
+            SimdOp::Vdup => ("vdup needs dst, #imm", 0, true),
+            SimdOp::Vshl | SimdOp::Vshr => ("SIMD shift needs dst, src, #imm", 1, true),
+            _ => ("SIMD op needs dst, src1, src2", 2, false),
+        };
+        if ops.len() != 1 + srcs + usize::from(imm) {
+            return Err(err(ln, shape));
+        }
+        let dst = self.reg(ops[0], ln)?;
+        let src = |i: usize| (i <= srcs).then(|| self.reg(ops[i], ln)).transpose();
+        let (src1, src2) = (src(1)?, src(2)?);
+        let imm = if imm {
+            self.imm(ops[srcs + 1], ln)? as u8
+        } else {
+            0
+        };
+        Ok(Instr::Simd {
+            op,
+            ty,
+            dst,
+            src1,
+            src2,
+            imm,
+        })
+    }
+}
+
+/// The value of `all` that `spell` spells as `token`, ignoring ASCII
+/// case: the assembler reads every token class through the one spelling
+/// its type owns, the same one [`crate::disasm`] prints.
+fn spelled<T: Copy, S: AsRef<str>>(
+    all: impl IntoIterator<Item = T>,
+    spell: impl Fn(T) -> S,
+    token: &str,
+) -> Option<T> {
+    all.into_iter()
+        .find(|&v| spell(v).as_ref().eq_ignore_ascii_case(token))
 }
 
 #[cfg(test)]

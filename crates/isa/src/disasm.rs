@@ -1,11 +1,12 @@
 //! Re-assemblable disassembler: [`Program`] → assembler dialect text.
 //!
-//! [`Program::disassemble`] produces a human-oriented pseudo-listing
-//! (uppercase mnemonics, raw label ids) that the assembler does *not*
-//! accept. This module emits the opposite: canonical [`crate::asm`]
-//! dialect text whose round trip is exact, so a program can be written to
-//! disk, committed as a regression fixture, and re-executed bit-for-bit —
-//! the contract the differential fuzzing harness's `.asm` repros rely on.
+//! The one text form of a program: canonical [`crate::asm`] dialect text
+//! whose round trip is exact, so a program can be written to disk,
+//! committed as a regression fixture, and re-executed bit-for-bit — the
+//! contract the differential fuzzing harness's `.asm` repros rely on.
+//! Every token prints through the spelling its type owns (the mnemonic
+//! tables in [`crate::opcode`], the `Display` of registers, operand 2,
+//! shift kinds and lane types), which is the spelling the assembler reads.
 //!
 //! Canonical-form guarantees (what makes `asm → Program → disasm → asm` a
 //! fixed point):
@@ -28,10 +29,10 @@
 use std::fmt::Write as _;
 
 use crate::instruction::Instr;
-use crate::opcode::{AluOp, Cond, FpOp, MemWidth, SimdOp, SimdType};
+use crate::opcode::{AluOp, SimdOp};
 use crate::operand::Operand2;
 use crate::program::{Program, DEFAULT_MEM_SIZE};
-use crate::reg::{ArchReg, RegClass};
+use crate::reg::ArchReg;
 
 /// A [`Program`] shape the assembler dialect cannot spell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,53 +58,11 @@ fn fail(index: usize, message: impl Into<String>) -> DisasmError {
     }
 }
 
-fn reg_name(r: ArchReg) -> String {
-    match r.class() {
-        RegClass::Int => format!("r{}", r.index()),
-        RegClass::Simd => format!("v{}", r.index() - 32),
-        RegClass::Fp => format!("f{}", r.index() - 48),
-        RegClass::Flags => "flags".to_string(),
-    }
-}
-
-fn op2_str(op2: &Operand2) -> String {
-    match op2 {
-        Operand2::Imm(v) => format!("#{v}"),
-        Operand2::Reg(r) => reg_name(*r),
-        Operand2::ShiftedReg { reg, kind, amount } => {
-            format!("{}, {kind} #{amount}", reg_name(*reg))
-        }
-    }
-}
-
 fn mem_str(base: ArchReg, offset: i32) -> String {
     if offset == 0 {
-        format!("[{}]", reg_name(base))
+        format!("[{base}]")
     } else {
-        format!("[{}, #{offset}]", reg_name(base))
-    }
-}
-
-fn lane_str(ty: SimdType) -> &'static str {
-    match ty {
-        SimdType::I8 => "i8",
-        SimdType::I16 => "i16",
-        SimdType::I32 => "i32",
-        SimdType::I64 => "i64",
-    }
-}
-
-fn branch_mnemonic(cond: Cond) -> &'static str {
-    match cond {
-        Cond::Al => "b",
-        Cond::Eq => "beq",
-        Cond::Ne => "bne",
-        Cond::Ge => "bge",
-        Cond::Lt => "blt",
-        Cond::Gt => "bgt",
-        Cond::Le => "ble",
-        Cond::Hs => "bhs",
-        Cond::Lo => "blo",
+        format!("[{base}, #{offset}]")
     }
 }
 
@@ -139,13 +98,15 @@ fn canonical_labels(p: &Program) -> Vec<(u32, usize)> {
         .collect()
 }
 
-#[allow(clippy::too_many_lines)]
+/// One instruction in its canonical spelling: registers, operand 2
+/// and lane types print through their `Display`, every mnemonic through
+/// the table its operation type owns (the tables [`crate::asm`] parses).
 fn instr_line(
     instr: &Instr,
     idx: usize,
     label_name: &dyn Fn(u32) -> String,
 ) -> Result<String, DisasmError> {
-    let line = match instr {
+    let line = match *instr {
         Instr::Alu {
             op,
             dst,
@@ -153,39 +114,31 @@ fn instr_line(
             op2,
             set_flags,
         } => {
-            let mn = op.mnemonic().to_ascii_lowercase();
+            let mn = op.asm_mnemonic(set_flags);
+            let need = |r: Option<ArchReg>, what: &str| {
+                r.ok_or_else(|| fail(idx, format!("{mn} without {what}")))
+            };
             match op {
                 AluOp::Mov | AluOp::Mvn => {
-                    let d = dst.ok_or_else(|| fail(idx, format!("{mn} without dst")))?;
+                    let d = need(dst, "dst")?;
                     if src1.is_some() {
                         return Err(fail(idx, format!("{mn} with a src1 dependency")));
                     }
-                    let s = if *set_flags { "s" } else { "" };
-                    format!("{mn}{s} {}, {}", reg_name(d), op2_str(op2))
+                    format!("{mn} {d}, {op2}")
                 }
-                AluOp::Cmp | AluOp::Cmn | AluOp::Tst | AluOp::Teq => {
+                _ if !op.has_dst() => {
                     if dst.is_some() {
                         return Err(fail(idx, format!("{mn} with a dst")));
                     }
-                    let s = src1.ok_or_else(|| fail(idx, format!("{mn} without src1")))?;
-                    format!("{mn} {}, {}", reg_name(s), op2_str(op2))
+                    format!("{mn} {}, {op2}", need(src1, "src1")?)
                 }
-                AluOp::Rrx if *op2 == Operand2::Imm(1) => {
-                    let d = dst.ok_or_else(|| fail(idx, "rrx without dst"))?;
-                    let s = src1.ok_or_else(|| fail(idx, "rrx without src1"))?;
-                    let sf = if *set_flags { "s" } else { "" };
-                    format!("rrx{sf} {}, {}", reg_name(d), reg_name(s))
+                AluOp::Rrx if op2 == Operand2::Imm(1) => {
+                    let d = need(dst, "dst")?;
+                    format!("{mn} {d}, {}", need(src1, "src1")?)
                 }
                 _ => {
-                    let d = dst.ok_or_else(|| fail(idx, format!("{mn} without dst")))?;
-                    let s = src1.ok_or_else(|| fail(idx, format!("{mn} without src1")))?;
-                    let sf = if *set_flags { "s" } else { "" };
-                    format!(
-                        "{mn}{sf} {}, {}, {}",
-                        reg_name(d),
-                        reg_name(s),
-                        op2_str(op2)
-                    )
+                    let d = need(dst, "dst")?;
+                    format!("{mn} {d}, {}, {op2}", need(src1, "src1")?)
                 }
             }
         }
@@ -196,22 +149,8 @@ fn instr_line(
             src2,
             acc,
         } => {
-            let mn = format!("{op:?}").to_ascii_lowercase();
-            match acc {
-                Some(a) => format!(
-                    "{mn} {}, {}, {}, {}",
-                    reg_name(*dst),
-                    reg_name(*src1),
-                    reg_name(*src2),
-                    reg_name(*a)
-                ),
-                None => format!(
-                    "{mn} {}, {}, {}",
-                    reg_name(*dst),
-                    reg_name(*src1),
-                    reg_name(*src2)
-                ),
-            }
+            let acc = acc.map(|a| format!(", {a}")).unwrap_or_default();
+            format!("{} {dst}, {src1}, {src2}{acc}", op.mnemonic())
         }
         Instr::Fp {
             op,
@@ -219,21 +158,12 @@ fn instr_line(
             src1,
             src2,
         } => {
-            let mn = format!("{op:?}").to_ascii_lowercase();
-            match (op, src2) {
-                (FpOp::Fcvt | FpOp::Ftoi, None) => {
-                    format!("{mn} {}, {}", reg_name(*dst), reg_name(*src1))
-                }
-                (FpOp::Fcvt | FpOp::Ftoi, Some(_)) => {
-                    return Err(fail(idx, format!("{mn} with a src2")));
-                }
-                (_, Some(s2)) => format!(
-                    "{mn} {}, {}, {}",
-                    reg_name(*dst),
-                    reg_name(*src1),
-                    reg_name(*s2)
-                ),
-                (_, None) => return Err(fail(idx, format!("{mn} without src2"))),
+            let mn = op.mnemonic();
+            match (op.is_convert(), src2) {
+                (true, None) => format!("{mn} {dst}, {src1}"),
+                (true, Some(_)) => return Err(fail(idx, format!("{mn} with a src2"))),
+                (false, Some(s2)) => format!("{mn} {dst}, {src1}, {s2}"),
+                (false, None) => return Err(fail(idx, format!("{mn} without src2"))),
             }
         }
         Instr::Simd {
@@ -244,34 +174,28 @@ fn instr_line(
             src2,
             imm,
         } => {
-            let mn = format!("{op:?}").to_ascii_lowercase();
-            let lane = lane_str(*ty);
+            let mn = op.mnemonic();
             match op {
                 SimdOp::Vdup => {
                     if src1.is_some() || src2.is_some() {
                         return Err(fail(idx, "vdup with register sources"));
                     }
-                    format!("{mn}.{lane} {}, #{imm}", reg_name(*dst))
+                    format!("{mn}.{ty} {dst}, #{imm}")
                 }
                 SimdOp::Vshl | SimdOp::Vshr => {
                     let s1 = src1.ok_or_else(|| fail(idx, format!("{mn} without src1")))?;
                     if src2.is_some() {
                         return Err(fail(idx, format!("{mn} with a src2")));
                     }
-                    format!("{mn}.{lane} {}, {}, #{imm}", reg_name(*dst), reg_name(s1))
+                    format!("{mn}.{ty} {dst}, {s1}, #{imm}")
                 }
                 _ => {
                     let s1 = src1.ok_or_else(|| fail(idx, format!("{mn} without src1")))?;
                     let s2 = src2.ok_or_else(|| fail(idx, format!("{mn} without src2")))?;
-                    if *imm != 0 {
+                    if imm != 0 {
                         return Err(fail(idx, format!("{mn} with a stray immediate")));
                     }
-                    format!(
-                        "{mn}.{lane} {}, {}, {}",
-                        reg_name(*dst),
-                        reg_name(s1),
-                        reg_name(s2)
-                    )
+                    format!("{mn}.{ty} {dst}, {s1}, {s2}")
                 }
             }
         }
@@ -280,35 +204,15 @@ fn instr_line(
             base,
             offset,
             width,
-        } => {
-            let mn = match width {
-                MemWidth::B1 => "ldrb",
-                MemWidth::B2 => "ldrh",
-                MemWidth::B4 => "ldr",
-                MemWidth::B8 => "vldr",
-            };
-            format!("{mn} {}, {}", reg_name(*dst), mem_str(*base, *offset))
-        }
+        } => format!("{} {dst}, {}", width.mnemonics().0, mem_str(base, offset)),
         Instr::Store {
             src,
             base,
             offset,
             width,
-        } => {
-            let mn = match width {
-                MemWidth::B1 => "strb",
-                MemWidth::B2 => "strh",
-                MemWidth::B4 => "str",
-                MemWidth::B8 => "vstr",
-            };
-            format!("{mn} {}, {}", reg_name(*src), mem_str(*base, *offset))
-        }
+        } => format!("{} {src}, {}", width.mnemonics().1, mem_str(base, offset)),
         Instr::Branch { cond, target } => {
-            format!(
-                "{} {}",
-                branch_mnemonic(*cond),
-                label_name(target.index() as u32)
-            )
+            format!("{} {}", cond.mnemonic(), label_name(target.index() as u32))
         }
         Instr::Halt => "halt".to_string(),
     };
@@ -386,6 +290,7 @@ mod tests {
     use super::*;
     use crate::asm::assemble;
     use crate::interp::Interpreter;
+    use crate::opcode::FpOp;
     use crate::program::{f, op_imm, op_reg, r, v, ProgramBuilder};
 
     fn roundtrip(src: &str) -> (Program, String) {

@@ -1,7 +1,5 @@
 //! Static instruction representation.
 
-use core::fmt;
-
 use crate::opcode::{AluOp, Cond, ExecClass, FpOp, MemWidth, MulOp, SimdOp, SimdType};
 use crate::operand::Operand2;
 use crate::reg::{ArchReg, SrcSet};
@@ -257,93 +255,6 @@ impl Instr {
     }
 }
 
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Instr::Alu {
-                op,
-                dst,
-                src1,
-                op2,
-                set_flags,
-            } => {
-                let s = if set_flags && op.has_dst() { "S" } else { "" };
-                write!(f, "{op}{s} ")?;
-                if let Some(d) = dst {
-                    write!(f, "{d}, ")?;
-                }
-                if let Some(r) = src1 {
-                    write!(f, "{r}, ")?;
-                }
-                write!(f, "{op2}")
-            }
-            Instr::MulDiv {
-                op,
-                dst,
-                src1,
-                src2,
-                acc,
-            } => {
-                write!(f, "{op:?} {dst}, {src1}, {src2}")?;
-                if let Some(a) = acc {
-                    write!(f, ", {a}")?;
-                }
-                Ok(())
-            }
-            Instr::Fp {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                write!(f, "{op:?} {dst}, {src1}")?;
-                if let Some(r) = src2 {
-                    write!(f, ", {r}")?;
-                }
-                Ok(())
-            }
-            Instr::Simd {
-                op,
-                ty,
-                dst,
-                src1,
-                src2,
-                imm,
-            } => {
-                write!(f, "{op:?}.{ty} {dst}")?;
-                if let Some(r) = src1 {
-                    write!(f, ", {r}")?;
-                }
-                if let Some(r) = src2 {
-                    write!(f, ", {r}")?;
-                }
-                if matches!(op, SimdOp::Vshl | SimdOp::Vshr | SimdOp::Vdup) {
-                    write!(f, ", #{imm}")?;
-                }
-                Ok(())
-            }
-            Instr::Load {
-                dst,
-                base,
-                offset,
-                width,
-            } => {
-                write!(f, "LDR.{} {dst}, [{base}, #{offset}]", width.bytes())
-            }
-            Instr::Store {
-                src,
-                base,
-                offset,
-                width,
-            } => {
-                write!(f, "STR.{} {src}, [{base}, #{offset}]", width.bytes())
-            }
-            Instr::Branch { cond, target } => write!(f, "B{cond:?} L{}", target.0),
-            Instr::Halt => write!(f, "HALT"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,17 +372,5 @@ mod tests {
             imm: 0,
         };
         assert_eq!(vmla.exec_class(), ExecClass::SimdMul);
-    }
-
-    #[test]
-    fn display_smoke() {
-        let i = Instr::Alu {
-            op: AluOp::Add,
-            dst: Some(r(0)),
-            src1: Some(r(1)),
-            op2: Operand2::Imm(4),
-            set_flags: true,
-        };
-        assert_eq!(i.to_string(), "ADDS r0, r1, #4");
     }
 }

@@ -17,7 +17,7 @@ use crate::opcode::{AluOp, Cond, FpOp, MemWidth, MulOp, SimdOp, SimdType};
 use crate::operand::Operand2;
 use crate::program::Program;
 use crate::reg::{ArchReg, NUM_ARCH_REGS};
-use crate::trace::{significant_bits_max, DynOp, Trace};
+use crate::trace::{significant_bits_max, DynOp};
 
 /// NZCV flag bit positions inside the flags pseudo-register.
 mod flag {
@@ -71,7 +71,7 @@ impl std::error::Error for ExecError {}
 /// Architectural state plus an execution cursor over a [`Program`].
 ///
 /// Use as an iterator to stream [`DynOp`]s, or call [`Interpreter::run`] to
-/// collect a bounded [`Trace`].
+/// collect a bounded `Vec` of them.
 ///
 /// ```
 /// use redsoc_isa::prelude::*;
@@ -160,8 +160,8 @@ impl<'p> Interpreter<'p> {
     ///
     /// Returns the [`ExecError`] if execution faults before halting or
     /// exhausting the budget.
-    pub fn run(&mut self, max_instrs: u64) -> Result<Trace, ExecError> {
-        let mut trace = Trace::new();
+    pub fn run(&mut self, max_instrs: u64) -> Result<Vec<DynOp>, ExecError> {
+        let mut trace = Vec::new();
         for _ in 0..max_instrs {
             match self.step() {
                 Some(op) => trace.push(op),
@@ -632,7 +632,7 @@ mod tests {
     use crate::operand::ShiftKind;
     use crate::program::{f, op_imm, op_reg, r, v, ProgramBuilder};
 
-    fn run(b: &mut ProgramBuilder) -> (Interpreter<'static>, Trace) {
+    fn run(b: &mut ProgramBuilder) -> (Interpreter<'static>, Vec<DynOp>) {
         let p = Box::leak(Box::new(b.build().unwrap()));
         let mut i = Interpreter::new(p);
         let t = i.run(100_000).unwrap();

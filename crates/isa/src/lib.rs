@@ -67,9 +67,9 @@ pub mod prelude {
     pub use crate::operand::{Operand2, ShiftKind};
     pub use crate::program::{f, op_imm, op_reg, r, v, Program, ProgramBuilder};
     pub use crate::reg::{ArchReg, RegClass};
-    pub use crate::trace::{DynOp, Trace};
+    pub use crate::trace::DynOp;
 }
 
 pub use instruction::Instr;
 pub use program::{Program, ProgramBuilder};
-pub use trace::{DynOp, Trace};
+pub use trace::DynOp;

@@ -7,6 +7,10 @@
 //! multiply/divide and memory operations are "true synchronous" multi-cycle
 //! operations that do not participate in transparent slack recycling but are
 //! required to model whole applications (§III, §V).
+//!
+//! Each operation type owns the one spelling of its values in the
+//! assembler dialect — an `ALL` list and a `mnemonic` table — which
+//! [`crate::asm`] parses and [`crate::disasm`] prints.
 
 use core::fmt;
 
@@ -158,6 +162,14 @@ impl AluOp {
             AluOp::Sbc => "SBC",
         }
     }
+
+    /// Assembler spelling: the lower-case mnemonic, with an `s` for the
+    /// flag-setting form of an op that writes a destination. Compare and
+    /// test ops always set flags and spell both forms alike.
+    pub(crate) fn asm_mnemonic(self, set_flags: bool) -> String {
+        let s = if set_flags && self.has_dst() { "s" } else { "" };
+        format!("{}{s}", self.mnemonic().to_ascii_lowercase())
+    }
 }
 
 impl fmt::Display for AluOp {
@@ -179,6 +191,22 @@ pub enum MulOp {
     Udiv,
 }
 
+impl MulOp {
+    /// All multiply/divide operations.
+    pub(crate) const ALL: [MulOp; 4] = [MulOp::Mul, MulOp::Mla, MulOp::Sdiv, MulOp::Udiv];
+
+    /// Assembler mnemonic.
+    #[must_use]
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            MulOp::Mul => "mul",
+            MulOp::Mla => "mla",
+            MulOp::Sdiv => "sdiv",
+            MulOp::Udiv => "udiv",
+        }
+    }
+}
+
 /// Floating-point operations (single precision; all multi-cycle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpOp {
@@ -196,6 +224,39 @@ pub enum FpOp {
     Fcvt,
     /// FP→int convert (reads an FP source, writes an integer destination).
     Ftoi,
+}
+
+impl FpOp {
+    /// All floating-point operations.
+    pub(crate) const ALL: [FpOp; 7] = [
+        FpOp::Fadd,
+        FpOp::Fsub,
+        FpOp::Fmul,
+        FpOp::Fdiv,
+        FpOp::Fcmp,
+        FpOp::Fcvt,
+        FpOp::Ftoi,
+    ];
+
+    /// Assembler mnemonic.
+    #[must_use]
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            FpOp::Fadd => "fadd",
+            FpOp::Fsub => "fsub",
+            FpOp::Fmul => "fmul",
+            FpOp::Fdiv => "fdiv",
+            FpOp::Fcmp => "fcmp",
+            FpOp::Fcvt => "fcvt",
+            FpOp::Ftoi => "ftoi",
+        }
+    }
+
+    /// Whether the operation is a one-source convert.
+    #[must_use]
+    pub(crate) fn is_convert(self) -> bool {
+        matches!(self, FpOp::Fcvt | FpOp::Ftoi)
+    }
 }
 
 /// SIMD element type: the "data type" axis of type-slack (§II-A).
@@ -291,6 +352,41 @@ pub enum SimdOp {
 }
 
 impl SimdOp {
+    /// All SIMD operations.
+    pub(crate) const ALL: [SimdOp; 12] = [
+        SimdOp::Vadd,
+        SimdOp::Vsub,
+        SimdOp::Vand,
+        SimdOp::Vorr,
+        SimdOp::Veor,
+        SimdOp::Vmax,
+        SimdOp::Vmin,
+        SimdOp::Vshr,
+        SimdOp::Vshl,
+        SimdOp::Vmul,
+        SimdOp::Vmla,
+        SimdOp::Vdup,
+    ];
+
+    /// Assembler mnemonic, without its lane suffix (`vadd` of `vadd.i16`).
+    #[must_use]
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            SimdOp::Vadd => "vadd",
+            SimdOp::Vsub => "vsub",
+            SimdOp::Vand => "vand",
+            SimdOp::Vorr => "vorr",
+            SimdOp::Veor => "veor",
+            SimdOp::Vmax => "vmax",
+            SimdOp::Vmin => "vmin",
+            SimdOp::Vshr => "vshr",
+            SimdOp::Vshl => "vshl",
+            SimdOp::Vmul => "vmul",
+            SimdOp::Vmla => "vmla",
+            SimdOp::Vdup => "vdup",
+        }
+    }
+
     /// Whether the operation is a single-cycle (chainable) SIMD ALU op.
     #[must_use]
     pub fn is_single_cycle(self) -> bool {
@@ -332,6 +428,36 @@ pub enum Cond {
 }
 
 impl Cond {
+    /// All branch conditions.
+    pub(crate) const ALL: [Cond; 9] = [
+        Cond::Al,
+        Cond::Eq,
+        Cond::Ne,
+        Cond::Ge,
+        Cond::Lt,
+        Cond::Gt,
+        Cond::Le,
+        Cond::Hs,
+        Cond::Lo,
+    ];
+
+    /// Assembler mnemonic of the branch on this condition (`b` for
+    /// always).
+    #[must_use]
+    pub(crate) fn mnemonic(self) -> &'static str {
+        match self {
+            Cond::Al => "b",
+            Cond::Eq => "beq",
+            Cond::Ne => "bne",
+            Cond::Ge => "bge",
+            Cond::Lt => "blt",
+            Cond::Gt => "bgt",
+            Cond::Le => "ble",
+            Cond::Hs => "bhs",
+            Cond::Lo => "blo",
+        }
+    }
+
     /// Whether the condition reads the flags register (everything except
     /// `Al`).
     #[must_use]
@@ -354,6 +480,20 @@ pub enum MemWidth {
 }
 
 impl MemWidth {
+    /// All access widths, narrowest first.
+    pub(crate) const ALL: [MemWidth; 4] = [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8];
+
+    /// Assembler mnemonics of a load and of a store of this width.
+    #[must_use]
+    pub(crate) fn mnemonics(self) -> (&'static str, &'static str) {
+        match self {
+            MemWidth::B1 => ("ldrb", "strb"),
+            MemWidth::B2 => ("ldrh", "strh"),
+            MemWidth::B4 => ("ldr", "str"),
+            MemWidth::B8 => ("vldr", "vstr"),
+        }
+    }
+
     /// Width in bytes.
     #[must_use]
     pub fn bytes(self) -> u32 {

@@ -24,6 +24,16 @@ pub enum ShiftKind {
     Ror,
 }
 
+impl ShiftKind {
+    /// All shift kinds.
+    pub(crate) const ALL: [ShiftKind; 4] = [
+        ShiftKind::Lsl,
+        ShiftKind::Lsr,
+        ShiftKind::Asr,
+        ShiftKind::Ror,
+    ];
+}
+
 impl fmt::Display for ShiftKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -122,22 +122,6 @@ impl Program {
     pub fn mem_size(&self) -> u32 {
         self.mem_size
     }
-
-    /// Render the program as pseudo-assembly, one instruction per line.
-    #[must_use]
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, instr) in self.instrs.iter().enumerate() {
-            for (lid, &pos) in self.labels.iter().enumerate() {
-                if pos as usize == i {
-                    let _ = writeln!(out, "L{lid}:");
-                }
-            }
-            let _ = writeln!(out, "  {i:5}: {instr}");
-        }
-        out
-    }
 }
 
 /// Incremental builder for [`Program`]s with an assembler-like API.
@@ -687,19 +671,6 @@ mod tests {
             b.build().unwrap_err(),
             ProgramError::OutOfMemory { .. }
         ));
-    }
-
-    #[test]
-    fn disassembly_contains_labels() {
-        let mut b = ProgramBuilder::new();
-        let top = b.here();
-        b.add(r(0), r(0), op_imm(1));
-        b.b(top);
-        b.halt();
-        let p = b.build().unwrap();
-        let asm = p.disassemble();
-        assert!(asm.contains("L0:"), "{asm}");
-        assert!(asm.contains("ADD"), "{asm}");
     }
 
     #[test]

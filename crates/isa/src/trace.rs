@@ -75,65 +75,6 @@ pub fn significant_bits_max(values: &[u32]) -> u8 {
         .unwrap_or(1)
 }
 
-/// A fully materialised trace, for tests and short-running analyses.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    ops: Vec<DynOp>,
-}
-
-impl Trace {
-    /// An empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// The recorded operations in program order.
-    #[must_use]
-    pub fn ops(&self) -> &[DynOp] {
-        &self.ops
-    }
-
-    /// Number of dynamic instructions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Append an op.
-    pub fn push(&mut self, op: DynOp) {
-        self.ops.push(op);
-    }
-
-    /// Iterate over the ops.
-    pub fn iter(&self) -> impl Iterator<Item = &DynOp> + '_ {
-        self.ops.iter()
-    }
-}
-
-impl FromIterator<DynOp> for Trace {
-    fn from_iter<T: IntoIterator<Item = DynOp>>(iter: T) -> Self {
-        Trace {
-            ops: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl IntoIterator for Trace {
-    type Item = DynOp;
-    type IntoIter = std::vec::IntoIter<DynOp>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.ops.into_iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +112,9 @@ mod tests {
             op2: Operand2::Imm(1),
             set_flags: false,
         };
-        let t: Trace = (0..5).map(|s| DynOp::simple(s, 0, i)).collect();
+        let t: Vec<DynOp> = (0..5).map(|s| DynOp::simple(s, 0, i)).collect();
         assert_eq!(t.len(), 5);
-        assert_eq!(t.ops()[4].seq, 4);
+        assert_eq!(t[4].seq, 4);
         let back: Vec<_> = t.into_iter().collect();
         assert_eq!(back.len(), 5);
     }

@@ -17,7 +17,7 @@
 
 use crate::slack::WidthClass;
 
-/// Default table size used in the paper's evaluation.
+/// Table size used in the paper's evaluation, and by the simulated core.
 pub const DEFAULT_ENTRIES: usize = 4096;
 /// Default confidence-counter width (k bits).
 pub const DEFAULT_CONF_BITS: u8 = 2;

@@ -177,6 +177,9 @@ pub struct FuzzSummary {
     pub cases_run: u64,
     /// Total dynamic instructions executed across clean cases.
     pub dyn_ops: u64,
+    /// Clean cases the interpreter stopped at [`oracle::MAX_DYN_OPS`]
+    /// before `halt`: only that prefix of each was checked.
+    pub cut_cases: u64,
     /// Diverging cases, shrunk.
     pub failures: Vec<FuzzFailure>,
 }
@@ -271,6 +274,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> std::io::Re
     let mut summary = FuzzSummary {
         cases_run: 0,
         dyn_ops: 0,
+        cut_cases: 0,
         failures: Vec::new(),
     };
     for case in 0..cfg.cases {
@@ -285,7 +289,6 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> std::io::Re
         let oracle_cfg = OracleConfig {
             core,
             scheds: cfg.scheds.clone(),
-            max_dyn_ops: oracle::MAX_DYN_OPS,
             sabotage_redsoc: cfg.sabotage_redsoc,
         };
         let outcome = check_fuzz_program(&program, &oracle_cfg);
@@ -293,6 +296,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(&str)) -> std::io::Re
         match outcome {
             Ok(ok) => {
                 summary.dyn_ops += ok.dyn_ops;
+                summary.cut_cases += u64::from(ok.cut);
                 progress(&format!(
                     "case {case:4}  core {core_name:6}  mem {mem_label:9}  {:4} dyn ops  ok",
                     ok.dyn_ops
@@ -384,6 +388,20 @@ mod tests {
         let b = run_fuzz(&cfg, |l| lines_b.push(l.to_string())).expect("no io");
         assert_eq!(lines_a, lines_b, "same seed, same campaign, byte for byte");
         assert_eq!(a.dyn_ops, b.dyn_ops);
+    }
+
+    #[test]
+    fn campaign_counts_the_cases_cut_at_the_op_budget() {
+        // Programs of up to 4,096 static instructions loop past the
+        // 4,096-op budget in most of these cases.
+        let cfg = FuzzConfig {
+            max_instrs: 4096,
+            ..FuzzConfig::new(1, 20)
+        };
+        let summary = run_fuzz(&cfg, |_| {}).expect("no io");
+        assert!(summary.failures.is_empty());
+        assert_eq!(summary.cut_cases, 14);
+        assert_eq!(summary.dyn_ops, 81_058);
     }
 
     #[test]

@@ -123,9 +123,6 @@ pub struct OracleConfig {
     pub core: CoreConfig,
     /// Policies to run the program under.
     pub scheds: Vec<SchedKind>,
-    /// Dynamic instruction budget for the interpreter (loops are bounded
-    /// by construction; this is a second line of defence).
-    pub max_dyn_ops: u64,
     /// Inject the inverted-skew fault into the ReDSOC run (acceptance
     /// testing of the harness itself).
     pub sabotage_redsoc: bool,
@@ -138,7 +135,6 @@ impl OracleConfig {
         OracleConfig {
             core,
             scheds: SchedKind::ALL.to_vec(),
-            max_dyn_ops: MAX_DYN_OPS,
             sabotage_redsoc: false,
         }
     }
@@ -233,6 +229,9 @@ impl fmt::Display for Divergence {
 pub struct CaseOk {
     /// Dynamic instructions executed.
     pub dyn_ops: u64,
+    /// Whether the interpreter stopped the case at [`MAX_DYN_OPS`] before
+    /// it reached `halt`, so only that prefix of the program was checked.
+    pub cut: bool,
     /// `(policy, cycles)` for each pipeline run.
     pub cycles: Vec<(SchedKind, u64)>,
 }
@@ -415,12 +414,10 @@ fn check_ci_monotone(kind: SchedKind, trace: &[DynOp], view: &RunView) -> Result
 /// Returns the first [`Divergence`] found.
 pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Divergence> {
     // Reference execution: the functional interpreter.
-    let trace = Interpreter::new(program)
-        .run(cfg.max_dyn_ops)
-        .map_err(|e| Divergence::ExecFault {
-            error: e.to_string(),
-        })?;
-    let trace: Vec<DynOp> = trace.into_iter().collect();
+    let mut interp = Interpreter::new(program);
+    let trace = interp.run(MAX_DYN_OPS).map_err(|e| Divergence::ExecFault {
+        error: e.to_string(),
+    })?;
 
     let mut cycles = Vec::new();
     // Cycles of the run that baseline and TS share (see `SchedKind::Ts`).
@@ -509,6 +506,7 @@ pub fn check_program(program: &Program, cfg: &OracleConfig) -> Result<CaseOk, Di
     }
     Ok(CaseOk {
         dyn_ops: trace.len() as u64,
+        cut: !interp.is_halted(),
         cycles,
     })
 }
@@ -538,6 +536,7 @@ mod tests {
         let ok = check_program(&chain_program(), &cfg).expect("no divergence");
         assert_eq!(ok.cycles.len(), 4);
         assert!(ok.dyn_ops > 100);
+        assert!(!ok.cut, "the chain halts within the budget");
         for (kind, cycles) in &ok.cycles {
             assert!(*cycles > 0, "{kind} must take cycles");
         }
@@ -591,11 +590,9 @@ mod tests {
 
     #[test]
     fn run_view_dumps_what_a_vec_sink_dumps() {
-        let trace: Vec<DynOp> = Interpreter::new(&chain_program())
+        let trace = Interpreter::new(&chain_program())
             .run(MAX_DYN_OPS)
-            .expect("no fault")
-            .into_iter()
-            .collect();
+            .expect("no fault");
         let core = CoreConfig::big();
         let mut view = RunView::new(trace.len());
         let mut all = VecSink::new();

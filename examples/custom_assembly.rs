@@ -6,6 +6,7 @@
 //! ```
 
 use redsoc::isa::asm::assemble;
+use redsoc::isa::disasm::disassemble;
 use redsoc::prelude::*;
 
 const SOURCE: &str = r"
@@ -39,11 +40,10 @@ outer:
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = assemble(SOURCE)?;
-    println!(
-        "assembled {} instructions:\n{}",
-        program.len(),
-        &program.disassemble()[..300]
-    );
+    println!("assembled {} instructions:", program.len());
+    for line in disassemble(&program)?.lines().take(12) {
+        println!("{line}");
+    }
 
     let mut interp = Interpreter::new(&program);
     let trace = interp.run(1_000_000)?;

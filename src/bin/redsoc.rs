@@ -4,7 +4,7 @@
 //! redsoc list
 //! redsoc run bitcnt --core big --sched redsoc --len 200000
 //! redsoc run bitcnt --events bitcnt.jsonl
-//! redsoc trace conv --format chrome --out conv_trace.json
+//! redsoc trace conv --out conv_trace.json
 //! redsoc compare crc --core medium
 //! redsoc report --out report.json
 //! redsoc bench --threads 8 --len 300000 --out sweep.json
@@ -296,62 +296,30 @@ fn cmd_trace(args: &[String]) -> CliResult {
         args.first()
             .ok_or_else(|| usage_err("usage: redsoc trace <bench> [flags]"))?,
     )?;
-    let flags = Flags::parse(
-        &args[1..],
-        &["core", "sched", "len", "format", "out", "mem-model"],
-    )?;
+    let flags = Flags::parse(&args[1..], &["core", "sched", "len", "out", "mem-model"])?;
     let core = with_mem_flag(parse_core(flags.get("core").unwrap_or("big"))?, &flags)?;
     let sched = parse_sched(flags.get("sched").unwrap_or("redsoc"))?;
     let len: u64 = flags.num("len", 20_000)?;
-    let format = flags.get("format").unwrap_or("chrome");
+    let out = flags.get("out").unwrap_or("trace.json");
     let trace = bench.trace(len);
     let cfg = core.clone().with_sched(sched.clone());
-    match format {
-        "chrome" => {
-            let out = flags.get("out").unwrap_or("trace.json");
-            let mut sink = ChromeTraceSink::new(sched.quant().ticks_per_cycle());
-            let rep = simulate_events(trace.into_iter(), cfg, &mut sink)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
-            std::fs::write(out, sink.finish())
-                .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
-            println!(
-                "{} on {} ({:?}): {} cycles, {} committed",
-                bench.name(),
-                core.name,
-                sched.mode,
-                rep.cycles,
-                rep.committed
-            );
-            println!(
-                "wrote {} trace rows to {out} (load in chrome://tracing or ui.perfetto.dev)",
-                sink.rows()
-            );
-        }
-        "jsonl" => {
-            let out = flags.get("out").unwrap_or("trace.jsonl");
-            let file = std::fs::File::create(out)
-                .map_err(|e| CliError::Io(format!("cannot create {out}: {e}")))?;
-            let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let rep = simulate_events(trace.into_iter(), cfg, &mut sink)
-                .map_err(|e| CliError::Sim(e.to_string()))?;
-            let lines = sink.lines();
-            sink.finish();
-            println!(
-                "{} on {} ({:?}): {} cycles, {} committed",
-                bench.name(),
-                core.name,
-                sched.mode,
-                rep.cycles,
-                rep.committed
-            );
-            println!("wrote {lines} events to {out}");
-        }
-        other => {
-            return Err(usage_err(format!(
-                "unknown format {other:?} (accepted: --format chrome|jsonl)"
-            )))
-        }
-    }
+    let mut sink = ChromeTraceSink::new(sched.quant().ticks_per_cycle());
+    let rep = simulate_events(trace.into_iter(), cfg, &mut sink)
+        .map_err(|e| CliError::Sim(e.to_string()))?;
+    std::fs::write(out, sink.finish())
+        .map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+    println!(
+        "{} on {} ({:?}): {} cycles, {} committed",
+        bench.name(),
+        core.name,
+        sched.mode,
+        rep.cycles,
+        rep.committed
+    );
+    println!(
+        "wrote {} trace rows to {out} (load in chrome://tracing or ui.perfetto.dev)",
+        sink.rows()
+    );
     Ok(())
 }
 
@@ -861,8 +829,8 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
         return Err(usage_err("--cases must be positive"));
     }
     cfg.max_instrs = flags.num("max-instrs", 48usize)?;
-    // The oracle stops every case at MAX_DYN_OPS, so a longer program
-    // would be cut without a word.
+    // The oracle stops every case at MAX_DYN_OPS, so the ops of a longer
+    // program past it could never run.
     if !(1..=MAX_DYN_OPS).contains(&(cfg.max_instrs as u64)) {
         return Err(usage_err(format!(
             "--max-instrs must be between 1 and {MAX_DYN_OPS}: the oracle runs at most \
@@ -924,9 +892,11 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     })
     .map_err(|e| CliError::Io(format!("repro emission failed: {e}")))?;
     println!(
-        "checked {} case(s), {} dynamic instructions: {} divergence(s)",
+        "checked {} case(s), {} dynamic instructions, {} cut at the {MAX_DYN_OPS}-op \
+         budget: {} divergence(s)",
         summary.cases_run,
         summary.dyn_ops,
+        summary.cut_cases,
         summary.failures.len()
     );
     for f in &summary.failures {
@@ -960,9 +930,8 @@ fn usage() -> String {
      \x20 list                     list available benchmarks\n\
      \x20 run <bench> [flags]      simulate one benchmark\n\
      \x20                          (--events FILE streams the pipeline event log as JSONL)\n\
-     \x20 trace <bench> [flags]    dump the pipeline event log\n\
-     \x20                          (--format chrome|jsonl  --out FILE;\n\
-     \x20                          chrome output loads in chrome://tracing)\n\
+     \x20 trace <bench> [flags]    dump the pipeline as a Chrome trace (--out FILE,\n\
+     \x20                          default trace.json; loads in chrome://tracing)\n\
      \x20 compare <bench> [flags]  baseline vs ReDSOC vs TS vs MOS\n\
      \x20 report [--out FILE]      every figure, table and ablation of the paper from one\n\
      \x20                          supervised run -> results JSON (default report.json;\n\

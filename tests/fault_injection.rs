@@ -244,7 +244,9 @@ fn cli_maps_errors_to_structured_exit_codes() {
     // Usage errors: exit 2 with a hint, no backtrace.
     let cases: &[&[&str]] = &[
         &["run", "nosuchbench"],
-        &["trace", "crc", "--len", "50", "--format", "nope"],
+        // `trace` writes the Chrome trace only; `run --events` streams
+        // the JSONL event log.
+        &["trace", "crc", "--len", "50", "--format", "jsonl"],
         // `report` reads its trace length from REDSOC_TRACE_LEN only.
         &["report", "--len", "5"],
         &["bench", "--bogus", "1"],
@@ -594,6 +596,14 @@ fn process_isolation_matches_thread_isolation_and_contains_destructive_faults() 
         .args(["--isolation", "process"])
         .args(["--resume", &journal.display().to_string()]));
     assert_eq!(exit_code(&out), 0, "clean resume completes: {out:?}");
+    let restored = rows(&load_sweep(&repaired))
+        .iter()
+        .filter(|(_, j)| j.get("restored") == Some(&Json::Bool(true)))
+        .count();
+    assert_eq!(
+        restored, 189,
+        "every journaled cell is restored, not re-run"
+    );
     let out = run(redsoc().args([
         "sweepcmp",
         &reference.display().to_string(),
@@ -780,8 +790,10 @@ fn fuzz_smoke_run_is_clean_and_byte_reproducible() {
     assert_eq!(exit_code(&a), 0, "clean fuzz run exits 0: {a:?}");
     let stdout = String::from_utf8_lossy(&a.stdout);
     assert!(
-        stdout.contains("checked 20 case(s)") && stdout.contains("0 divergence(s)"),
-        "summary line reports a clean campaign: {stdout}"
+        stdout.contains("checked 20 case(s)")
+            && stdout.contains(", 0 cut at the 4096-op budget")
+            && stdout.contains("0 divergence(s)"),
+        "summary line reports a clean campaign that no budget cut: {stdout}"
     );
     let b = run(redsoc().args(args));
     assert_eq!(a.stdout, b.stdout, "fuzz output must be byte-reproducible");

@@ -12,6 +12,7 @@
 use redsoc::bench::DEFAULT_TRACE_LEN;
 use redsoc::core::sched::ts::run_ts;
 use redsoc::prelude::*;
+use redsoc::timing::width_predictor;
 
 const LEN: u64 = 30_000;
 
@@ -176,7 +177,7 @@ fn width_prediction_aggressive_rate_is_small() {
 #[test]
 fn width_predictor_size_cannot_matter_on_the_paper_set() {
     const SLOTS: u32 = 256;
-    let entries = SchedulerConfig::redsoc().width_predictor_entries;
+    let entries = width_predictor::DEFAULT_ENTRIES;
     assert!(entries.is_power_of_two() && entries >= SLOTS as usize);
     for bench in Benchmark::paper_set() {
         let mut owner = [None; SLOTS as usize];
