@@ -516,7 +516,8 @@ mod tests {
 
     #[test]
     fn wall_seconds_beyond_duration_range_is_corrupt() {
-        // `1e400` parses to infinity; neither fits in a `Duration`.
+        // `1e300` does not fit in a `Duration`; `1e400` is not a finite
+        // number, so the line does not parse.
         for wall in ["1e300", "1e400"] {
             let line = rec("c/BIG/redsoc", "d", 300).to_json().compact();
             let bad = line.replace(

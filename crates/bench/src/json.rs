@@ -340,15 +340,15 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            let code = self
                                 .b
                                 .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.i))?;
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.i += 4;
                         }
@@ -385,15 +385,23 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.b[start..self.i])
             .map_err(|_| format!("non-UTF-8 number at byte {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        match text.parse::<f64>() {
+            // `write_num` would print a non-finite number as `null`.
+            Ok(n) if !n.is_finite() => Err(format!("non-finite number {text:?} at byte {start}")),
+            Ok(n) => Ok(Json::Num(n)),
+            Err(_) => Err(format!("invalid number {text:?} at byte {start}")),
+        }
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use std::panic;
+    use std::sync::OnceLock;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -436,6 +444,108 @@ mod tests {
         // Far past the cap: an error, not a stack overflow.
         assert!(Json::parse(&"[".repeat(200_000)).is_err());
         assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn parser_rejects_what_it_cannot_write_back() {
+        for (text, error) in [
+            ("1e999", r#"non-finite number "1e999" at byte 0"#),
+            ("[-1e400]", r#"non-finite number "-1e400" at byte 1"#),
+            (r#""\u+041""#, "bad \\u escape at byte 2"),
+            (r#""\u04 1""#, "bad \\u escape at byte 2"),
+            (r#""\u04""#, "bad \\u escape at byte 2"),
+        ] {
+            assert_eq!(Json::parse(text), Err(error.to_string()), "{text}");
+        }
+        assert_eq!(Json::parse(r#""\u00e9\u0041""#), Ok(Json::str("éA")));
+    }
+
+    /// What the mutator inserts: JSON punctuation, escapes (good and
+    /// bad), numbers at and past `f64`'s range, and multibyte text.
+    const TOKENS: [&str; 24] = [
+        "\"", "\\", "\\u", "\\u+041", "\\u00e9", "\\ud800", "1e999", "-1e400", "1e-400", "-", "+",
+        ".", "e", "0", "[", "]", "{", "}", ",", ":", "null", "é", "𝄞", "\u{0}",
+    ];
+
+    /// Seed documents: every row of the committed `BENCH_sweep.json`, a
+    /// journal line and a job frame.
+    fn seeds() -> Vec<String> {
+        use crate::journal::JournalRecord;
+        use crate::supervisor::CellSummary;
+        use crate::worker::JobSpec;
+        let sweep = Json::parse(include_str!("../../../BENCH_sweep.json")).expect("sweep parses");
+        let rows = sweep
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .expect("sweep rows");
+        let journal_line = JournalRecord {
+            key: "a/BIG/redsoc".into(),
+            digest: "d".into(),
+            attempts: 1,
+            backoff_ms: 0,
+            wall_seconds: 0.25,
+            summary: CellSummary::Sim {
+                cycles: 100,
+                committed: 50,
+                stalls: [100, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                memory: None,
+            },
+        };
+        let job_frame = JobSpec {
+            bench: "crc".into(),
+            core: "BIG".into(),
+            mem_model: "classic".into(),
+            mode: "ts".into(),
+            trace_len: 2000,
+            digest: "abc123".into(),
+            attempt: 2,
+            budget: Some(u64::MAX),
+            ts_base: None,
+            fault: Some("panic".into()),
+        };
+        rows.iter()
+            .chain([&journal_line.to_json(), &job_frame.to_json()])
+            .map(Json::compact)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// No byte string panics the parser, and whatever it accepts
+        /// writes back to text that parses to the same value.
+        #[test]
+        fn mutated_documents_are_rejected_or_round_trip(
+            seed in 0usize..1024,
+            edits in prop::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 1..9),
+        ) {
+            static SEEDS: OnceLock<Vec<String>> = OnceLock::new();
+            let seeds = SEEDS.get_or_init(seeds);
+            let mut bytes = seeds[seed % seeds.len()].clone().into_bytes();
+            for (kind, at, arg) in edits {
+                let at = at as usize % (bytes.len() + 1);
+                match kind {
+                    // Delete a span of up to 15 bytes.
+                    0 => drop(bytes.drain(at..(at + arg as usize % 16).min(bytes.len()))),
+                    1 => {
+                        let token = TOKENS[arg as usize % TOKENS.len()].bytes();
+                        drop(bytes.splice(at..at, token));
+                    }
+                    // Replace a byte with any byte.
+                    _ => {
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b = arg as u8;
+                        }
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let parsed = panic::catch_unwind(|| Json::parse(&text));
+            prop_assert!(parsed.is_ok(), "parse panicked on {text:?}");
+            if let Ok(Ok(v)) = parsed {
+                prop_assert_eq!(Json::parse(&v.pretty()), Ok(v), "{}", text);
+            }
+        }
     }
 
     #[test]

@@ -457,7 +457,9 @@ fn width_section(r: &Results) -> String {
     };
     let share = |name| Some(total(name)? / total("width_predictions")? * 100.0);
     let gains: Option<Vec<f64>> = paper.iter().map(|b| gain(r, *b, "BIG")).collect();
-    let state = WidthPredictor::new(entries, 3).state_bytes().to_string();
+    let state = WidthPredictor::new(entries, width_predictor::DEFAULT_CONF_BITS)
+        .state_bytes()
+        .to_string();
     let cells = OUTCOMES
         .map(|name| fmt(share(name), 3, "%"))
         .into_iter()

@@ -375,7 +375,10 @@ impl PipelineState {
             simd: FuPool::new(config.simd_units),
             fp: FuPool::new(config.fp_units),
             mem_ports: FuPool::new(config.mem_ports),
-            width_pred: WidthPredictor::new(width_predictor::DEFAULT_ENTRIES, 3),
+            width_pred: WidthPredictor::new(
+                width_predictor::DEFAULT_ENTRIES,
+                width_predictor::DEFAULT_CONF_BITS,
+            ),
             tag_pred: TagPredictor::new(tag_pred::DEFAULT_ENTRIES),
             gshare: Gshare::default_config(),
             memory,

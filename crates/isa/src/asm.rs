@@ -285,6 +285,11 @@ impl Assembler {
         // An empty token, or one whose first character is not one byte,
         // has no class letter to split off.
         let (class, num) = t.split_at_checked(1).ok_or_else(bad)?;
+        // Canonical decimal, as `disasm` prints it: digits only (no
+        // sign), and no leading zero but in `0` itself.
+        if !num.bytes().all(|c| c.is_ascii_digit()) || (num.len() > 1 && num.starts_with('0')) {
+            return Err(bad());
+        }
         let n: u8 = num.parse().map_err(|_| bad())?;
         match class {
             "r" if n < 32 => Ok(ArchReg::int(n)),

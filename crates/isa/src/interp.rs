@@ -73,6 +73,11 @@ impl std::error::Error for ExecError {}
 /// Use as an iterator to stream [`DynOp`]s, or call [`Interpreter::run`] to
 /// collect a bounded `Vec` of them.
 ///
+/// Memory spans [`Program::mem_size`] bytes, but the interpreter holds
+/// only the data images at first, and materialises more on the first
+/// store past their end. Every byte beyond reads as zero, so a program
+/// pays for the memory it touches, not for all (by default 16 MiB) of it.
+///
 /// ```
 /// use redsoc_isa::prelude::*;
 ///
@@ -92,6 +97,7 @@ impl std::error::Error for ExecError {}
 pub struct Interpreter<'p> {
     program: &'p Program,
     regs: [u64; NUM_ARCH_REGS],
+    /// Memory from address 0 to the highest byte held; the rest is zero.
     mem: Vec<u8>,
     pc: u32,
     seq: u64,
@@ -104,7 +110,13 @@ impl<'p> Interpreter<'p> {
     /// data images.
     #[must_use]
     pub fn new(program: &'p Program) -> Self {
-        let mut mem = vec![0u8; program.mem_size() as usize];
+        let images_end = program
+            .data()
+            .iter()
+            .map(|(base, bytes)| *base as usize + bytes.len())
+            .max()
+            .unwrap_or(0);
+        let mut mem = vec![0u8; images_end];
         for (base, bytes) in program.data() {
             let b = *base as usize;
             mem[b..b + bytes.len()].copy_from_slice(bytes);
@@ -128,9 +140,28 @@ impl<'p> Interpreter<'p> {
     }
 
     /// Read bytes from simulated memory (for checking kernel outputs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range ends past the program's memory size.
     #[must_use]
-    pub fn mem(&self, addr: u32, len: u32) -> &[u8] {
-        &self.mem[addr as usize..(addr + len) as usize]
+    pub fn mem(&self, addr: u32, len: u32) -> Vec<u8> {
+        let end = u64::from(addr) + u64::from(len);
+        assert!(
+            end <= u64::from(self.program.mem_size()),
+            "{len}-byte read at {addr:#x} ends past memory"
+        );
+        let mut out = vec![0; len as usize];
+        self.copy_out(addr, &mut out);
+        out
+    }
+
+    /// Copy the bytes held from `addr` on into `out`, which starts zeroed
+    /// (memory past the held part is zero).
+    fn copy_out(&self, addr: u32, out: &mut [u8]) {
+        let held = self.mem.get(addr as usize..).unwrap_or(&[]);
+        let n = held.len().min(out.len());
+        out[..n].copy_from_slice(&held[..n]);
     }
 
     /// Read a little-endian 32-bit word from memory.
@@ -331,31 +362,6 @@ impl<'p> Interpreter<'p> {
         (op.has_dst().then_some(r), eff)
     }
 
-    fn simd_lanes(&self, value: u64, ty: SimdType) -> Vec<u64> {
-        let bits = ty.lane_bits();
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        (0..ty.lanes())
-            .map(|i| (value >> (i * bits)) & mask)
-            .collect()
-    }
-
-    fn simd_pack(&self, lanes: &[u64], ty: SimdType) -> u64 {
-        let bits = ty.lane_bits();
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        lanes
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &l)| acc | ((l & mask) << (i as u32 * bits)))
-    }
-
     fn exec_simd(
         &mut self,
         op: SimdOp,
@@ -382,38 +388,38 @@ impl<'p> Interpreter<'p> {
         let a = src1.map_or(0, |r| self.regs[r.index()]);
         let b = src2.map_or(0, |r| self.regs[r.index()]);
         let acc = self.regs[dst.index()];
-        let la = self.simd_lanes(a, ty);
-        let lb = self.simd_lanes(b, ty);
-        let lacc = self.simd_lanes(acc, ty);
-        let out: Vec<u64> = (0..ty.lanes() as usize)
-            .map(|i| match op {
-                SimdOp::Vadd => la[i].wrapping_add(lb[i]),
-                SimdOp::Vsub => la[i].wrapping_sub(lb[i]),
-                SimdOp::Vand => la[i] & lb[i],
-                SimdOp::Vorr => la[i] | lb[i],
-                SimdOp::Veor => la[i] ^ lb[i],
+        let mut out = 0u64;
+        for shift in (0..64u32).step_by(bits as usize) {
+            let (la, lb) = ((a >> shift) & mask, (b >> shift) & mask);
+            let lane = match op {
+                SimdOp::Vadd => la.wrapping_add(lb),
+                SimdOp::Vsub => la.wrapping_sub(lb),
+                SimdOp::Vand => la & lb,
+                SimdOp::Vorr => la | lb,
+                SimdOp::Veor => la ^ lb,
                 SimdOp::Vmax => {
-                    if sext(la[i]) >= sext(lb[i]) {
-                        la[i]
+                    if sext(la) >= sext(lb) {
+                        la
                     } else {
-                        lb[i]
+                        lb
                     }
                 }
                 SimdOp::Vmin => {
-                    if sext(la[i]) <= sext(lb[i]) {
-                        la[i]
+                    if sext(la) <= sext(lb) {
+                        la
                     } else {
-                        lb[i]
+                        lb
                     }
                 }
-                SimdOp::Vshr => la[i] >> u32::from(imm).min(bits - 1),
-                SimdOp::Vshl => la[i] << u32::from(imm).min(bits - 1),
-                SimdOp::Vmul => la[i].wrapping_mul(lb[i]),
-                SimdOp::Vmla => lacc[i].wrapping_add(la[i].wrapping_mul(lb[i])),
+                SimdOp::Vshr => la >> u32::from(imm).min(bits - 1),
+                SimdOp::Vshl => la << u32::from(imm).min(bits - 1),
+                SimdOp::Vmul => la.wrapping_mul(lb),
+                SimdOp::Vmla => ((acc >> shift) & mask).wrapping_add(la.wrapping_mul(lb)),
                 SimdOp::Vdup => u64::from(imm),
-            })
-            .collect();
-        self.regs[dst.index()] = self.simd_pack(&out, ty);
+            };
+            out |= (lane & mask) << shift;
+        }
+        self.regs[dst.index()] = out;
     }
 
     fn exec_fp(&mut self, op: FpOp, src1: ArchReg, src2: Option<ArchReg>, dst: ArchReg) {
@@ -450,15 +456,21 @@ impl<'p> Interpreter<'p> {
         }
     }
 
-    fn mem_read(&mut self, addr: u32, width: MemWidth, pc: u32) -> Result<u64, ExecError> {
+    /// The end of a `width` access at `addr`, or its fault if that lies
+    /// past the program's memory.
+    fn access_end(&self, addr: u32, width: MemWidth, pc: u32) -> Result<usize, ExecError> {
         let w = width.bytes();
-        let end = addr as u64 + u64::from(w);
-        if end > self.mem.len() as u64 {
+        let end = u64::from(addr) + u64::from(w);
+        if end > u64::from(self.program.mem_size()) {
             return Err(ExecError::MemOutOfBounds { addr, width: w, pc });
         }
-        let s = &self.mem[addr as usize..(addr + w) as usize];
+        Ok(end as usize)
+    }
+
+    fn mem_read(&self, addr: u32, width: MemWidth, pc: u32) -> Result<u64, ExecError> {
+        let end = self.access_end(addr, width, pc)?;
         let mut buf = [0u8; 8];
-        buf[..w as usize].copy_from_slice(s);
+        self.copy_out(addr, &mut buf[..end - addr as usize]);
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -469,13 +481,12 @@ impl<'p> Interpreter<'p> {
         value: u64,
         pc: u32,
     ) -> Result<(), ExecError> {
-        let w = width.bytes();
-        let end = addr as u64 + u64::from(w);
-        if end > self.mem.len() as u64 {
-            return Err(ExecError::MemOutOfBounds { addr, width: w, pc });
+        let end = self.access_end(addr, width, pc)?;
+        if end > self.mem.len() {
+            self.mem.resize(end, 0);
         }
-        let bytes = value.to_le_bytes();
-        self.mem[addr as usize..(addr + w) as usize].copy_from_slice(&bytes[..w as usize]);
+        let start = addr as usize;
+        self.mem[start..end].copy_from_slice(&value.to_le_bytes()[..end - start]);
         Ok(())
     }
 

@@ -14,13 +14,17 @@
 //!   detected at execute by checking the high operand bits, recovered by
 //!   selective reissue (like a cache-miss replay). The paper reports
 //!   0.3–0.4% aggressive mispredictions with a 4K-entry table.
+//!
+//! The simulated core's table holds [`DEFAULT_ENTRIES`] entries of 2
+//! width bits plus [`DEFAULT_CONF_BITS`] confidence bits: 4,096 × 5 bits
+//! = 2,560 B of state, where the paper quotes ~1.5 KB.
 
 use crate::slack::WidthClass;
 
 /// Table size used in the paper's evaluation, and by the simulated core.
 pub const DEFAULT_ENTRIES: usize = 4096;
-/// Default confidence-counter width (k bits).
-pub const DEFAULT_CONF_BITS: u8 = 2;
+/// Confidence-counter width (k bits) of the simulated core's predictor.
+pub const DEFAULT_CONF_BITS: u8 = 3;
 
 /// The outcome of one width prediction, judged at execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,12 +130,6 @@ impl WidthPredictor {
         }
     }
 
-    /// The paper's 4K-entry, 2-bit configuration (~1.5 KB of state).
-    #[must_use]
-    pub fn paper_default() -> Self {
-        WidthPredictor::new(DEFAULT_ENTRIES, DEFAULT_CONF_BITS)
-    }
-
     /// Actual table capacity (the requested size rounded up to a power of
     /// two — the `slot` mask below is only a modulo for power-of-two
     /// sizes).
@@ -195,7 +193,8 @@ impl WidthPredictor {
     }
 
     /// Total predictor state in bytes: per entry, 2 width bits plus the
-    /// confidence counter (the paper quotes ~1.5 KB for 4K entries).
+    /// confidence counter (2,560 B at the simulated core's 4,096 entries
+    /// and 3 confidence bits; the paper quotes ~1.5 KB for 4K entries).
     #[must_use]
     pub fn state_bytes(&self) -> usize {
         let bits_per_entry = 2 + (8 - self.conf_max.leading_zeros() as usize);
@@ -266,7 +265,7 @@ mod tests {
 
     #[test]
     fn stable_stream_has_low_aggressive_rate() {
-        let mut p = WidthPredictor::paper_default();
+        let mut p = WidthPredictor::new(DEFAULT_ENTRIES, DEFAULT_CONF_BITS);
         // 95% narrow with occasional wide bursts at the same PC.
         for i in 0..10_000u32 {
             let actual = if i % 100 < 95 {
@@ -282,10 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_state_is_about_1_5_kb() {
-        let p = WidthPredictor::paper_default();
-        let kb = p.state_bytes() as f64 / 1024.0;
-        assert!((1.0..=2.5).contains(&kb), "state {kb} KB");
+    fn simulated_configuration_holds_2560_bytes() {
+        let p = WidthPredictor::new(DEFAULT_ENTRIES, DEFAULT_CONF_BITS);
+        assert_eq!(p.state_bytes(), 4096 * (2 + 3) / 8);
     }
 
     #[test]

@@ -191,44 +191,67 @@ impl Benchmark {
     /// exact). Always ends with `HALT`.
     #[must_use]
     pub fn trace(self, approx_len: u64) -> Vec<DynOp> {
+        match self.source() {
+            Source::Spec(profile, seed) => spec::spec_trace(&profile, approx_len, seed).collect(),
+            Source::Kernel(build) => kernel_trace(build, approx_len),
+        }
+    }
+
+    /// The generator behind [`Benchmark::trace`].
+    fn source(self) -> Source {
         match self {
-            Benchmark::Xalanc => spec_collect(&SpecProfile::xalanc(), approx_len, 11),
-            Benchmark::Bzip2 => spec_collect(&SpecProfile::bzip2(), approx_len, 12),
-            Benchmark::Omnetpp => spec_collect(&SpecProfile::omnetpp(), approx_len, 13),
-            Benchmark::Gromacs => spec_collect(&SpecProfile::gromacs(), approx_len, 14),
-            Benchmark::Soplex => spec_collect(&SpecProfile::soplex(), approx_len, 15),
-            Benchmark::Corners => kernel_trace(mibench::corners, approx_len),
-            Benchmark::Strsearch => kernel_trace(mibench::strsearch, approx_len),
-            Benchmark::Gsm => kernel_trace(mibench::gsm_ltp, approx_len),
-            Benchmark::Crc => kernel_trace(mibench::crc32, approx_len),
-            Benchmark::Bitcnt => kernel_trace(mibench::bitcount, approx_len),
-            Benchmark::Act => kernel_trace(ml::relu, approx_len),
-            Benchmark::Pool0 => kernel_trace(ml::pool_max, approx_len),
-            Benchmark::Conv => kernel_trace(ml::conv3x3, approx_len),
-            Benchmark::Pool1 => kernel_trace(ml::pool_avg, approx_len),
-            Benchmark::Softmax => kernel_trace(ml::softmax, approx_len),
-            Benchmark::MlMac => kernel_trace(ml_mac, approx_len),
-            Benchmark::Qsort => kernel_trace(extended::qsort, approx_len),
-            Benchmark::Dijkstra => kernel_trace(extended::dijkstra, approx_len),
-            Benchmark::ShaMix => kernel_trace(extended::sha_mix, approx_len),
-            Benchmark::DotI8 => kernel_trace(extended::dot_i8, approx_len),
+            Benchmark::Xalanc => Source::Spec(SpecProfile::xalanc(), 11),
+            Benchmark::Bzip2 => Source::Spec(SpecProfile::bzip2(), 12),
+            Benchmark::Omnetpp => Source::Spec(SpecProfile::omnetpp(), 13),
+            Benchmark::Gromacs => Source::Spec(SpecProfile::gromacs(), 14),
+            Benchmark::Soplex => Source::Spec(SpecProfile::soplex(), 15),
+            Benchmark::Corners => Source::Kernel(mibench::corners),
+            Benchmark::Strsearch => Source::Kernel(mibench::strsearch),
+            Benchmark::Gsm => Source::Kernel(mibench::gsm_ltp),
+            Benchmark::Crc => Source::Kernel(mibench::crc32),
+            Benchmark::Bitcnt => Source::Kernel(mibench::bitcount),
+            Benchmark::Act => Source::Kernel(ml::relu),
+            Benchmark::Pool0 => Source::Kernel(ml::pool_max),
+            Benchmark::Conv => Source::Kernel(ml::conv3x3),
+            Benchmark::Pool1 => Source::Kernel(ml::pool_avg),
+            Benchmark::Softmax => Source::Kernel(ml::softmax),
+            Benchmark::MlMac => Source::Kernel(ml_mac),
+            Benchmark::Qsort => Source::Kernel(extended::qsort),
+            Benchmark::Dijkstra => Source::Kernel(extended::dijkstra),
+            Benchmark::ShaMix => Source::Kernel(extended::sha_mix),
+            Benchmark::DotI8 => Source::Kernel(extended::dot_i8),
         }
     }
 }
 
-fn spec_collect(profile: &SpecProfile, len: u64, seed: u64) -> Vec<DynOp> {
-    spec::spec_trace(profile, len, seed).collect()
+/// Where a benchmark's trace comes from.
+enum Source {
+    /// A synthetic SPEC-like generator and its seed.
+    Spec(SpecProfile, u64),
+    /// A kernel program, built for a given number of outer iterations.
+    Kernel(fn(u32) -> Program),
 }
 
-/// Run one outer iteration to measure the kernel's dynamic length, then
-/// rebuild with enough iterations to cover `approx_len`.
+/// Interpret one outer iteration of the kernel: when it covers
+/// `approx_len`, it is the trace (one iteration of CONV, POOL0, ACT or
+/// POOL1 runs 114k–587k ops). Otherwise build enough iterations to cover
+/// `approx_len` and interpret them into a buffer sized for as many first
+/// iterations, which no later iteration outruns, so it never regrows.
+/// Either way the interpreter holds only the memory the kernel touches:
+/// its data images, grown on the first store past their end.
 fn kernel_trace(build: fn(u32) -> Program, approx_len: u64) -> Vec<DynOp> {
-    let probe = build(1);
-    let per_iter = Interpreter::new(&probe).count() as u64;
+    let probe: Vec<DynOp> = Interpreter::new(&build(1)).collect();
+    let per_iter = probe.len() as u64;
     debug_assert!(per_iter > 0, "kernels execute at least one instruction");
-    let iters = approx_len.div_ceil(per_iter.max(1)).max(1);
-    let program = build(iters.min(u64::from(u32::MAX)) as u32);
-    Interpreter::new(&program).collect()
+    let iters = approx_len
+        .div_ceil(per_iter.max(1))
+        .min(u64::from(u32::MAX));
+    if iters <= 1 {
+        return probe;
+    }
+    let mut trace = Vec::with_capacity((iters * per_iter) as usize);
+    trace.extend(Interpreter::new(&build(iters as u32)));
+    trace
 }
 
 /// Bonus kernel: a VMLA accumulation chain (dot-product style), the
@@ -302,6 +325,39 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), every.len());
+    }
+
+    /// The algorithm `kernel_trace` replaced, kept as its reference:
+    /// interpret one iteration only to count it, then build and interpret
+    /// enough iterations to cover `approx_len`.
+    fn two_pass_kernel_trace(build: fn(u32) -> Program, approx_len: u64) -> Vec<DynOp> {
+        let per_iter = Interpreter::new(&build(1)).count() as u64;
+        let iters = approx_len.div_ceil(per_iter.max(1)).max(1);
+        let program = build(iters.min(u64::from(u32::MAX)) as u32);
+        Interpreter::new(&program).collect()
+    }
+
+    #[test]
+    fn kernel_traces_match_the_two_pass_reference_at_the_iteration_boundary() {
+        let every = Benchmark::all().into_iter().chain(Benchmark::extended());
+        for bench in every {
+            let Source::Kernel(build) = bench.source() else {
+                continue;
+            };
+            let per_iter = Interpreter::new(&build(1)).count() as u64;
+            for (len, iters) in [(per_iter, 1), (per_iter + 1, 2)] {
+                let trace = kernel_trace(build, len);
+                let name = bench.name();
+                assert!(
+                    trace == two_pass_kernel_trace(build, len),
+                    "{name} at len {len}: trace differs from the two-pass reference"
+                );
+                assert!(
+                    trace.len() as u64 <= iters * per_iter,
+                    "{name} at len {len}: {iters} iterations outgrow {iters} first ones"
+                );
+            }
+        }
     }
 
     #[test]

@@ -234,4 +234,29 @@ fn near_miss_spellings_keep_their_line_and_message() {
             assert_eq!(e.to_string(), format!("line 2: {message}"), "{line}");
         }
     }
+    // Register numbers are canonical decimal, as `disasm` prints them: no
+    // sign and no leading zero. The message quotes the token as written.
+    for (line, tok) in [
+        ("mov r+1, #1", "r+1"),
+        ("mov r01, #1", "r01"),
+        ("vdup.i8 v007, #1", "v007"),
+    ] {
+        for upper in [false, true] {
+            let case = |s: &str| {
+                if upper {
+                    s.to_uppercase()
+                } else {
+                    s.to_string()
+                }
+            };
+            let (line, tok) = (case(line), case(tok));
+            let source = format!("top:    mov r0, #1\n        {line}\n        halt\n");
+            let e = assemble(&source).expect_err(&line);
+            assert_eq!(
+                e.to_string(),
+                format!("line 2: bad register {tok:?}"),
+                "{line}"
+            );
+        }
+    }
 }
